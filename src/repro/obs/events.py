@@ -60,7 +60,7 @@ ENVELOPE_KEYS = ("type", "seq", "run", "span")
 #: it is not emittable through :meth:`EventTracer.emit`.
 EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     "iteration": ("iteration", "evaluations", "archive_size"),
-    "move_applied": ("iteration", "objectives"),
+    "move_applied": ("iteration", "objectives", "created"),
     "archive_update": ("iteration", "archive_size"),
     "decision_fired": ("iteration", "reason"),
     "worker_task": ("worker", "task_id", "neighbors"),

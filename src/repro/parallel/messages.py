@@ -95,7 +95,7 @@ class PoolTask:
     the determinism-under-retry invariant the pool is built on.
 
     ``routes`` carries the parent solution in one of three forms: the
-    plain nested tuple (codec off / master-local execution), a packed
+    plain nested tuple (master-local execution), a packed
     :class:`~repro.parallel.wire.WireRoutes`, or a
     :class:`~repro.parallel.wire.WireTaskDelta` against the routes of
     the last task the *target worker* completed (the steady-state
@@ -143,13 +143,12 @@ class PoolBatch:
     the existing result message is how worker events reach the master's
     tracer without a second channel.
 
-    ``neighbors`` is either the plain triple tuple (codec off) or a
-    packed :class:`~repro.parallel.wire.WireBatch` of parent-relative
-    edits; the pool decodes before anything downstream sees it.
-    ``phase`` (final batches only, when the worker timed itself) is the
-    task's accumulated ``(generate, evaluate)`` seconds — the feedback
-    signal of the adaptive task sizer and the worker-side contribution
-    to the obs phase profile.
+    ``neighbors`` is a packed :class:`~repro.parallel.wire.WireBatch`
+    of parent-relative edits from a worker, or the plain triple tuple
+    from the master's local fallback; the pool decodes before anything
+    downstream sees it.  ``phase`` (final batches only, when the worker
+    timed itself) is the task's accumulated ``(generate, evaluate)``
+    seconds — the worker-side contribution to the obs phase profile.
     """
 
     worker: int

@@ -209,12 +209,6 @@ def run_multiprocessing_tsmo(
         n_tasks == 1
         and type(engine.rng.bit_generator).__name__ == "PCG64"
     )
-    # Adaptive sizing retunes the split between iterations from worker
-    # phase timings; lockstep mode keeps its single task regardless —
-    # splitting it would break the bit-identity contract.
-    adaptive = (
-        not lockstep and pool_params is not None and pool_params.adaptive_sizing
-    )
 
     start = time.perf_counter()
     worker_hits = worker_misses = 0
@@ -235,11 +229,6 @@ def run_multiprocessing_tsmo(
                     )
                 ]
             else:
-                sizes = (
-                    pool.plan_counts(params.neighborhood_size)
-                    if adaptive
-                    else chunk_sizes
-                )
                 task_ids = [
                     pool.submit(
                         engine.current.routes,
@@ -247,7 +236,7 @@ def run_multiprocessing_tsmo(
                         seed=int(seed_rng.integers(2**63)),
                         iteration=iteration,
                     )
-                    for size in sizes
+                    for size in chunk_sizes
                     if size > 0
                 ]
             with profiler.time("wait"):
@@ -356,7 +345,6 @@ def run_multiprocessing_async_tsmo(
         obs=obs,
     ) as pool:
         engine.initialize()
-        adaptive = pool.sizer is not None
         collected: list[Neighbor] = []
         outstanding = 0
         next_chunk = 0
@@ -364,15 +352,8 @@ def run_multiprocessing_async_tsmo(
         while not engine.done:
             # Keep every worker fed: one outstanding chunk per worker,
             # always sampling a neighborhood of the *current* solution.
-            # With adaptive sizing the split is recomputed between
-            # refills, so chunk granularity follows observed timings.
-            plan = (
-                pool.plan_counts(params.neighborhood_size) or chunk_sizes
-                if adaptive
-                else chunk_sizes
-            )
-            while outstanding < len(plan):
-                size = plan[next_chunk % len(plan)]
+            while outstanding < len(chunk_sizes):
+                size = chunk_sizes[next_chunk % len(chunk_sizes)]
                 next_chunk += 1
                 pool.submit(
                     engine.current.routes,

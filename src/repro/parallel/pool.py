@@ -72,7 +72,6 @@ from repro.rng import FastRng
 from repro.vrptw.instance import Instance
 
 __all__ = [
-    "AdaptiveSizer",
     "BatchEvent",
     "FaultPlan",
     "PoolParams",
@@ -197,21 +196,6 @@ class PoolParams:
     #: deadline.  Once the worker is heard, its deadline clock starts
     #: at that moment instead of at dispatch.
     boot_grace: float = 10.0
-    #: ship tasks/batches through the compact wire codecs
-    #: (:mod:`repro.parallel.wire`) instead of pickling nested tuples.
-    #: Decode is bit-identical, so this is safe to leave on.
-    codec: bool = True
-    #: broadcast the instance through one shared-memory segment
-    #: (:mod:`repro.parallel.shm`) instead of pickling it into every
-    #: worker spawn.
-    shared_instance: bool = True
-    #: retune task count / batch size between iterations from observed
-    #: worker phase timings (:class:`AdaptiveSizer`).  Off by default:
-    #: it changes task boundaries, so seeded multi-task runs are no
-    #: longer reproducible across machines.
-    adaptive_sizing: bool = False
-    #: floor for adaptively chosen task counts.
-    min_task_count: int = 4
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
@@ -230,8 +214,6 @@ class PoolParams:
             raise WorkerPoolError("poll_interval must be positive")
         if self.boot_grace < 0:
             raise WorkerPoolError("boot_grace must be non-negative")
-        if self.min_task_count < 1:
-            raise WorkerPoolError("min_task_count must be >= 1")
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +441,6 @@ def _pool_worker_main(
         if isinstance(msg, StopMessage):
             break
         task: PoolTask = msg
-        codec = not isinstance(task.routes, tuple)
         if isinstance(task.routes, WireTaskDelta):
             delta = task.routes
             if last_done is None or last_done[0] != delta.base_task_id:
@@ -470,7 +451,7 @@ def _pool_worker_main(
                     f"{delta.base_task_id}"
                 )
             task = replace(task, routes=delta.apply(last_done[1]))
-        elif isinstance(task.routes, WireRoutes):
+        else:  # WireRoutes: the master always ships a wire form
             task = replace(task, routes=task.routes.decode())
         action = fault_plan.action(slot, ordinal) if fault_plan else None
         ordinal += 1
@@ -491,7 +472,7 @@ def _pool_worker_main(
             registry,
             task,
             slot,
-            codec=codec,
+            codec=True,
             timed=timed,
         ):
             if batch.final and tracer is not None:
@@ -521,99 +502,6 @@ def _pool_worker_main(
         seg.close()
     if shm is not None:
         shm.close()
-
-
-# ----------------------------------------------------------------------
-# Adaptive task sizing
-# ----------------------------------------------------------------------
-class AdaptiveSizer:
-    """Feedback controller for task count / batch size.
-
-    The tension: fewer, larger tasks amortize per-task overhead
-    (dispatch, queue hop, decode) but lengthen the straggler tail the
-    synchronous master waits out — and starve the asynchronous c1–c4
-    loop of partial results.  The sizer keeps EMAs of the worker-side
-    per-neighbor work :math:`\\bar w` (from the ``(generate, evaluate)``
-    phase timings riding final batches) and the per-task overhead
-    :math:`o` (task latency minus work), and proposes the count that
-    balances the two terms: total overhead across ``total/c`` tasks is
-    ``(total/c) * o`` while the tail a task adds is ``c * w``, equal at
-    :math:`c^* = \\sqrt{total \\cdot o / \\bar w}`.
-
-    The batch size targets steady arrival: a batch should complete in
-    about half the master's observed inter-poll wait, so partial
-    results land every cycle instead of in one final burst.
-
-    All state is master-side floats fed from observed timings — nothing
-    here touches RNG streams, task seeds or neighbor order, so an
-    adaptive run stays *correct*; it is only not *reproducible* across
-    machines, which is why :attr:`PoolParams.adaptive_sizing` defaults
-    off.
-    """
-
-    __slots__ = ("alpha", "min_count", "work_ema", "overhead_ema", "wait_ema", "observed")
-
-    def __init__(self, min_count: int = 4, alpha: float = 0.25) -> None:
-        self.alpha = alpha
-        self.min_count = min_count
-        self.work_ema: float | None = None  # seconds per neighbor
-        self.overhead_ema: float | None = None  # seconds per task
-        self.wait_ema: float | None = None  # master poll wait, seconds
-        self.observed = 0
-
-    def _ema(self, old: float | None, value: float) -> float:
-        if old is None:
-            return value
-        return old + self.alpha * (value - old)
-
-    def observe_task(
-        self, count: int, latency: float, phase: tuple[float, float] | None
-    ) -> None:
-        """Fold one completed task's timings into the EMAs."""
-        if count < 1 or latency < 0:
-            return
-        work = latency if phase is None else max(phase[0] + phase[1], 0.0)
-        work = min(work, latency)
-        self.work_ema = self._ema(self.work_ema, work / count)
-        self.overhead_ema = self._ema(self.overhead_ema, max(latency - work, 0.0))
-        self.observed += 1
-
-    def observe_wait(self, seconds: float) -> None:
-        """Fold one master-side blocking wait into the EMA."""
-        if seconds >= 0:
-            self.wait_ema = self._ema(self.wait_ema, seconds)
-
-    @property
-    def ready(self) -> bool:
-        """Enough observations to trust the EMAs over the static split."""
-        return self.observed >= 3 and self.work_ema is not None
-
-    def suggest_count(self, total: int, n_slots: int) -> int:
-        """Neighbors per task for a ``total``-neighbor fan-out."""
-        base = max(1, -(-total // max(n_slots, 1)))  # ceil, the static split
-        if not self.ready or not self.work_ema or self.overhead_ema is None:
-            return base
-        c_opt = (total * self.overhead_ema / self.work_ema) ** 0.5
-        return max(self.min_count, min(int(round(c_opt)) or 1, base, total))
-
-    def suggest_batch(self, count: int, default: int | None) -> int:
-        """Neighbors per streamed batch within a ``count``-neighbor task."""
-        if default is None:
-            default = count
-        default = min(default, count)
-        if not self.ready or not self.work_ema or self.wait_ema is None:
-            return default
-        target = self.wait_ema / (2.0 * self.work_ema)
-        return max(1, min(int(target) or 1, default))
-
-    def summary(self) -> dict:
-        """The controller state for :meth:`WorkerPool.report`."""
-        return {
-            "observed_tasks": self.observed,
-            "work_per_neighbor_s": self.work_ema,
-            "task_overhead_s": self.overhead_ema,
-            "master_wait_s": self.wait_ema,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -649,6 +537,25 @@ class TaskOutcome:
     neighbors: tuple
     rng_state: dict | None
     cache_delta: tuple[int, int]
+
+
+def _close_queue(q) -> None:
+    """Close one of a slot's queues and join its feeder thread.
+
+    The master-side feeder thread holds references to the queue's two
+    named semaphores.  Abandoned (``cancel_join_thread``), it could drop
+    the last reference itself and run their finalizer — unlink, then
+    unregister with the resource tracker — while the interpreter exits,
+    leaving a name unlinked but still registered (the tracker then
+    warns about a leaked semaphore).  Joining keeps that finalizer on
+    the caller's thread.  The join is short: the slot's worker is dead
+    or stopped by now, and each queue carries at most a task and a
+    stop message, far below the pipe's capacity.
+    """
+    if q is None:
+        return
+    q.close()
+    q.join_thread()
 
 
 class _Slot:
@@ -799,25 +706,18 @@ class WorkerPool:
         self._local_shms: list = []
         self._local_registry: OperatorRegistry | None = None
 
-        self.sizer = (
-            AdaptiveSizer(min_count=self.params.min_task_count)
-            if self.params.adaptive_sizing
-            else None
-        )
-        #: workers time their generate/evaluate phases when the sizer
-        #: needs the signal or the obs profiler will ingest it.
-        self._timed = self.sizer is not None or bool(getattr(obs, "enabled", False))
+        #: workers time their generate/evaluate phases only when the obs
+        #: profiler will ingest them.
+        self._timed = bool(getattr(obs, "enabled", False))
 
         # Shared-memory instance broadcast: create the segment before
         # the first spawn so every worker (including respawns) attaches
         # instead of unpickling ~MBs of arrays.  If segment creation
         # fails (e.g. /dev/shm exhausted), fall back to pickling.
-        self._shared: SharedInstance | None = None
-        if self.params.shared_instance:
-            try:
-                self._shared = share_instance(instance)
-            except OSError:  # pragma: no cover - shm exhausted
-                self._shared = None
+        try:
+            self._shared: SharedInstance | None = share_instance(instance)
+        except OSError:
+            self._shared = None
 
         try:
             for slot in self._slots:
@@ -899,10 +799,8 @@ class WorkerPool:
                     if proc.is_alive():  # pragma: no cover - stubborn process
                         proc.kill()
                         proc.join(timeout=1.0)
-                for q in (slot.task_q, slot.result_q):
-                    if q is not None:
-                        q.close()
-                        q.cancel_join_thread()
+                _close_queue(slot.task_q)
+                _close_queue(slot.result_q)
                 # The slot must read as dead from here on: a later poll
                 # (already an error, but belt and braces) must never
                 # dispatch onto the closed queues or "respawn" a worker
@@ -1000,10 +898,7 @@ class WorkerPool:
         if (seed is None) == (rng_state is None):
             raise WorkerPoolError("tasks need exactly one of seed= or rng_state=")
         if batch_size is None:
-            if self.sizer is not None:
-                batch_size = self.sizer.suggest_batch(count, self.default_batch_size)
-            else:
-                batch_size = self.default_batch_size or count
+            batch_size = self.default_batch_size or count
         task_id = self._next_task_id
         self._next_task_id += 1
         if instance_ref is not None:
@@ -1075,26 +970,6 @@ class WorkerPool:
         greedy job cannot bury the pool's internal queue.
         """
         return len(self._tasks)
-
-    def plan_counts(self, total: int) -> list[int]:
-        """Split a ``total``-neighbor fan-out into per-task counts.
-
-        Without adaptive sizing this is the static even split across
-        alive workers that the drivers always used; with it, the
-        :class:`AdaptiveSizer`'s suggested count takes over once it has
-        seen enough completed tasks.
-        """
-        if total < 1:
-            return []
-        n_slots = max(self._alive_count(), 1)
-        if self.sizer is not None:
-            per = self.sizer.suggest_count(total, n_slots)
-        else:
-            per = max(1, -(-total // n_slots))
-        counts = [per] * (total // per)
-        if total % per:
-            counts.append(total % per)
-        return counts
 
     # -- event loop ----------------------------------------------------
     def poll(self, timeout: float | None = None) -> list[BatchEvent]:
@@ -1187,8 +1062,6 @@ class WorkerPool:
         other gets the full :class:`WireRoutes`.  Retries re-enter this
         path and re-encode for whichever slot they land on.
         """
-        if not self.params.codec:
-            return routes
         if slot.done_task_id is not None and slot.done_routes is not None:
             delta = diff_routes(slot.done_routes, routes)
             if delta is not None:
@@ -1243,22 +1116,15 @@ class WorkerPool:
         sweep and returns, otherwise it sleeps in ``poll_interval``
         steps until the deadline.
         """
-        started = time.monotonic()
-        deadline = started + timeout
-        try:
-            while True:
-                drained = sum(self._drain_slot(slot, events) for slot in self._slots)
-                if drained:
-                    return
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return
-                time.sleep(min(self.params.poll_interval, remaining))
-        finally:
-            if self.sizer is not None:
-                # The blocked portion of this pass is the master-wait
-                # signal the batch-size suggestion feeds on.
-                self.sizer.observe_wait(time.monotonic() - started)
+        deadline = time.monotonic() + timeout
+        while True:
+            drained = sum(self._drain_slot(slot, events) for slot in self._slots)
+            if drained:
+                return
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            time.sleep(min(self.params.poll_interval, remaining))
 
     def _accept_batch(self, msg: PoolBatch, events: list[BatchEvent]) -> None:
         slot = self._slots[msg.worker] if 0 <= msg.worker < len(self._slots) else None
@@ -1328,10 +1194,7 @@ class WorkerPool:
             self._cancelled_completions += 1
         if not state.cancelled:
             self._tasks_completed += 1
-            latency = time.monotonic() - state.submitted_at
-            self._latencies.append(latency)
-            if self.sizer is not None:
-                self.sizer.observe_task(state.task.count, latency, msg.phase)
+            self._latencies.append(time.monotonic() - state.submitted_at)
             # Worker-side phase timings fold into the master's profile
             # under the same phase names the sequential driver uses, so
             # one table shows where worker time went regardless of
@@ -1395,14 +1258,11 @@ class WorkerPool:
         # Salvage whatever the worker managed to send before dying —
         # anything still unread after this is regenerated by the retry.
         self._drain_slot(slot, events)
-        for q in (slot.task_q, slot.result_q):
-            # Abandon both queues: the task queue may hold an
-            # undelivered task copy that must not reach the replacement
-            # worker, and the result queue's write end may be corrupted
-            # by the death.
-            if q is not None:
-                q.close()
-                q.cancel_join_thread()
+        # Abandon both queues: the task queue may hold an undelivered
+        # task copy that must not reach the replacement worker, and the
+        # result queue's write end may be corrupted by the death.
+        _close_queue(slot.task_q)
+        _close_queue(slot.result_q)
         slot.task_q = None
         slot.result_q = None
         slot.alive = False
@@ -1502,7 +1362,6 @@ class WorkerPool:
             "n_workers": self.n_workers,
             "degraded": self.degraded,
             "transport": {
-                "codec": self.params.codec,
                 "shared_instance": self._shared is not None,
                 "delta_tasks": self._delta_tasks,
                 "full_tasks": self._full_tasks,
@@ -1510,7 +1369,6 @@ class WorkerPool:
                 "wire_batch_bytes": self._wire_batch_bytes,
                 "instance_ref_tasks": self._instance_ref_tasks,
             },
-            "adaptive": self.sizer.summary() if self.sizer is not None else None,
             "crashes": self._crashes,
             "stragglers": self._stragglers,
             "respawns": self._respawns_used,

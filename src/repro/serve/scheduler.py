@@ -262,14 +262,15 @@ class SolveScheduler:
         self.pool_params = pool_params
         self.fault_plan = fault_plan
         # The telemetry plane needs an enabled tracer to have anything
-        # to stream, so a scheduler handed the null bundle builds its
+        # to stream, so a scheduler handed a disabled bundle builds its
         # own: from the environment when REPRO_TRACE_DIR/REPRO_OBS ask
         # for a sink, else a plain in-memory bundle (nothing written to
         # disk).  Still pure observation: the engines stay
         # uninstrumented and bit-identity against the sequential oracle
-        # is guarded by tests either way.
+        # is guarded by tests either way.  From here on ``self.obs`` is
+        # always enabled, so nothing below checks.
         self._owns_obs = False
-        if obs is NULL_OBS:
+        if not obs.enabled:
             obs = Obs.from_env(span="serve")
             if not obs.enabled:
                 obs = Obs(span="serve")
@@ -328,7 +329,7 @@ class SolveScheduler:
         self._stopping = False
         self._closed = False
         self._max_inflight = self.params.max_inflight or 2 * n_workers
-        # Service counters (always on; obs mirrors them when enabled).
+        # Service counters (always on; obs mirrors them).
         self.submitted = 0
         self.rejected = 0
         self.completed = 0
@@ -441,20 +442,15 @@ class SolveScheduler:
                 self._seq += 1
                 self._jobs[job_id] = job
                 self.submitted += 1
-                exc = WrongInstanceError(
-                    f"job {job_id!r} was accepted for instance fingerprint "
-                    f"{recorded_fp[:12]}…, but the instance available at "
-                    f"recovery has fingerprint {actual_fp[:12]}…; refusing "
-                    "to resume it against the wrong problem"
+                self._fail_job(
+                    job,
+                    WrongInstanceError(
+                        f"job {job_id!r} was accepted for instance fingerprint "
+                        f"{recorded_fp[:12]}…, but the instance available at "
+                        f"recovery has fingerprint {actual_fp[:12]}…; refusing "
+                        "to resume it against the wrong problem"
+                    ),
                 )
-                self._record(job, "wrong_instance", recorded=recorded_fp, actual=actual_fp)
-                self._note_wrong_instance(job, exc)
-                job._fail(exc)
-                self.failed += 1
-                self._record(job, "failed", cause=repr(exc), attempts=job.attempts + 1)
-                if self.obs.enabled:
-                    self.obs.metrics.inc("serve.jobs_failed")
-                    self._emit_state(job_id, JobState.FAILED)
                 continue
             job._instance_fp = actual_fp
             if spec.instance is not None:
@@ -469,18 +465,15 @@ class SolveScheduler:
             self.submitted += 1
             self.recovered_jobs += 1
             self._ledger.record("recovered", job_id)
-            if self.obs.enabled:
-                self.obs.metrics.inc("serve.recovered_jobs")
-                tracer = self.obs.tracer
-                if tracer.enabled:
-                    tracer.emit(
-                        "job_recovered",
-                        span=f"job-{job_id}",
-                        job=job_id,
-                        state=JobState.QUEUED,
-                        trace=job_id,
-                    )
-                self._emit_state(job_id, JobState.QUEUED)
+            self.obs.metrics.inc("serve.recovered_jobs")
+            self.obs.tracer.emit(
+                "job_recovered",
+                span=f"job-{job_id}",
+                job=job_id,
+                state=JobState.QUEUED,
+                trace=job_id,
+            )
+            self._emit_state(job_id, JobState.QUEUED)
 
     async def abort(self) -> None:
         """Tear the service down with **no** terminal bookkeeping.
@@ -601,9 +594,8 @@ class SolveScheduler:
             )
         if len(self._heap) >= self.params.max_queued:
             self.rejected += 1
-            if self.obs.enabled:
-                self.obs.metrics.inc("serve.admission_rejects")
-                self._emit_state(spec.job_id, "rejected")
+            self.obs.metrics.inc("serve.admission_rejects")
+            self._emit_state(spec.job_id, "rejected")
             raise AdmissionError(
                 f"admission queue full ({self.params.max_queued} jobs "
                 f"waiting); job {spec.job_id!r} rejected — back off and "
@@ -645,8 +637,7 @@ class SolveScheduler:
         heapq.heappush(self._heap, (-spec.priority, self._seq, job))
         self._seq += 1
         self.submitted += 1
-        if self.obs.enabled:
-            self._emit_state(spec.job_id, JobState.QUEUED)
+        self._emit_state(spec.job_id, JobState.QUEUED)
         return job
 
     def _default_fingerprint(self) -> str:
@@ -834,8 +825,7 @@ class SolveScheduler:
                 job._resume_preempted()
                 self._active[job.job_id] = job
                 self.peak_active = max(self.peak_active, len(self._active))
-                if self.obs.enabled:
-                    self._emit_state(job.job_id, JobState.RUNNING)
+                self._emit_state(job.job_id, JobState.RUNNING)
                 if job._finished and not job._pending_finals:
                     self._finish_job(job)  # preempted after its last iteration
                 continue
@@ -855,8 +845,7 @@ class SolveScheduler:
                 self._note_checkpoint_corrupt(job)
             self._active[job.job_id] = job
             self.peak_active = max(self.peak_active, len(self._active))
-            if self.obs.enabled:
-                self._emit_state(job.job_id, JobState.RUNNING)
+            self._emit_state(job.job_id, JobState.RUNNING)
             if job._finished:  # zero budget left (e.g. resumed past it)
                 self._finish_job(job)
         for item in deferred:
@@ -899,33 +888,27 @@ class SolveScheduler:
         """A resume found a corrupt snapshot: loud, journaled, non-fatal
         (the attempt restarted fresh; see ``Job._start``)."""
         self._record(job, "checkpoint_corrupt", error=job.checkpoint_corrupt)
-        if self.obs.enabled:
-            self.obs.metrics.inc("serve.checkpoint_corrupt")
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    "job_checkpoint_corrupt",
-                    span=f"job-{job.job_id}",
-                    job=job.job_id,
-                    error=job.checkpoint_corrupt,
-                    trace=job.job_id,
-                )
+        self.obs.metrics.inc("serve.checkpoint_corrupt")
+        self.obs.tracer.emit(
+            "job_checkpoint_corrupt",
+            span=f"job-{job.job_id}",
+            job=job.job_id,
+            error=job.checkpoint_corrupt,
+            trace=job.job_id,
+        )
 
     def _note_wrong_instance(self, job: Job, exc: BaseException) -> None:
         """A job was about to run against the wrong instance: loud,
         journaled, and terminal (unlike a corrupt checkpoint there is
         no safe fresh-restart — the problem itself is ambiguous)."""
-        if self.obs.enabled:
-            self.obs.metrics.inc("serve.wrong_instance")
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    "job_wrong_instance",
-                    span=f"job-{job.job_id}",
-                    job=job.job_id,
-                    error=str(exc),
-                    trace=job.job_id,
-                )
+        self.obs.metrics.inc("serve.wrong_instance")
+        self.obs.tracer.emit(
+            "job_wrong_instance",
+            span=f"job-{job.job_id}",
+            job=job.job_id,
+            error=str(exc),
+            trace=job.job_id,
+        )
 
     def _preemption_victim(self, priority: int) -> Job | None:
         """The running job a ``priority`` arrival may displace: the
@@ -953,18 +936,15 @@ class SolveScheduler:
         )
         self.preemptions += 1
         self._record(victim, "preempted", evaluations=victim.evaluations)
-        if self.obs.enabled:
-            self.obs.metrics.inc("serve.preemptions")
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    "job_preempted",
-                    span=f"job-{victim.job_id}",
-                    job=victim.job_id,
-                    evaluations=victim.evaluations,
-                    trace=victim.job_id,
-                )
-            self._emit_state(victim.job_id, JobState.PREEMPTED)
+        self.obs.metrics.inc("serve.preemptions")
+        self.obs.tracer.emit(
+            "job_preempted",
+            span=f"job-{victim.job_id}",
+            job=victim.job_id,
+            evaluations=victim.evaluations,
+            trace=victim.job_id,
+        )
+        self._emit_state(victim.job_id, JobState.PREEMPTED)
 
     def _dispatch(self) -> None:
         pool = self._pool
@@ -1052,19 +1032,16 @@ class SolveScheduler:
         heapq.heappush(self._heap, (-job.spec.priority, job._admit_seq, job))
         self.job_retries += 1
         self._record(job, "retry", attempt=job.attempts, cause=repr(exc))
-        if self.obs.enabled:
-            self.obs.metrics.inc("serve.job_retries")
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    "job_retry",
-                    span=f"job-{job.job_id}",
-                    job=job.job_id,
-                    attempt=job.attempts,
-                    cause=type(exc).__name__,
-                    trace=job.job_id,
-                )
-            self._emit_state(job.job_id, JobState.QUEUED)
+        self.obs.metrics.inc("serve.job_retries")
+        self.obs.tracer.emit(
+            "job_retry",
+            span=f"job-{job.job_id}",
+            job=job.job_id,
+            attempt=job.attempts,
+            cause=type(exc).__name__,
+            trace=job.job_id,
+        )
+        self._emit_state(job.job_id, JobState.QUEUED)
 
     def _release_instance(self, job: Job) -> None:
         """Drop the job's refcount on its shared instance segment (the
@@ -1080,29 +1057,27 @@ class SolveScheduler:
         self._release_instance(job)
         self.completed += 1
         self._record(job, "done", evaluations=job.evaluations)
-        if self.obs.enabled:
-            m = self.obs.metrics
-            m.inc("serve.jobs_completed")
-            m.observe(
-                "serve.job_latency_s",
-                job.finished_at - job.submitted_at,
-                buckets=_LATENCY_BUCKETS,
-            )
-            m.observe(
-                "serve.job_queue_wait_s",
-                job.started_at - job.submitted_at,
-                buckets=_LATENCY_BUCKETS,
-            )
-            self._emit_state(job.job_id, JobState.DONE)
+        m = self.obs.metrics
+        m.inc("serve.jobs_completed")
+        m.observe(
+            "serve.job_latency_s",
+            job.finished_at - job.submitted_at,
+            buckets=_LATENCY_BUCKETS,
+        )
+        m.observe(
+            "serve.job_queue_wait_s",
+            job.started_at - job.submitted_at,
+            buckets=_LATENCY_BUCKETS,
+        )
+        self._emit_state(job.job_id, JobState.DONE)
 
     def _finish_cancelled(self, job: Job) -> None:
         job._cancelled()
         self._release_instance(job)
         self.cancelled += 1
         self._record(job, "cancelled", evaluations=job.evaluations)
-        if self.obs.enabled:
-            self.obs.metrics.inc("serve.jobs_cancelled")
-            self._emit_state(job.job_id, JobState.CANCELLED)
+        self.obs.metrics.inc("serve.jobs_cancelled")
+        self._emit_state(job.job_id, JobState.CANCELLED)
 
     def _fail_job(self, job: Job, exc: BaseException) -> None:
         self._active.pop(job.job_id, None)
@@ -1122,45 +1097,38 @@ class SolveScheduler:
         self._release_instance(job)
         self.failed += 1
         self._record(job, "failed", cause=repr(exc), attempts=job.attempts + 1)
-        if self.obs.enabled:
-            self.obs.metrics.inc("serve.jobs_failed")
-            self._emit_state(job.job_id, JobState.FAILED)
+        self.obs.metrics.inc("serve.jobs_failed")
+        self._emit_state(job.job_id, JobState.FAILED)
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def _emit_state(self, job_id: str, state: str) -> None:
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            # ``job-<id>`` is the root span of the job's trace: no
-            # ``parent`` field, so the spans CLI anchors the tree here.
-            tracer.emit(
-                "job_state",
-                span=f"job-{job_id}",
-                job=job_id,
-                state=state,
-                trace=job_id,
-            )
+        # ``job-<id>`` is the root span of the job's trace: no
+        # ``parent`` field, so the spans CLI anchors the tree here.
+        self.obs.tracer.emit(
+            "job_state",
+            span=f"job-{job_id}",
+            job=job_id,
+            state=state,
+            trace=job_id,
+        )
 
     def _update_gauges(self) -> None:
-        if self.obs.enabled:
-            m = self.obs.metrics
-            m.gauge("serve.jobs_active", len(self._active))
-            m.gauge(
-                "serve.jobs_queued",
-                sum(1 for j in self._jobs.values() if j.state == JobState.QUEUED),
-            )
-            m.gauge("serve.peak_active", self.peak_active)
-            if self._pool is not None:
-                m.gauge("serve.pool_backlog", self._pool.backlog())
+        m = self.obs.metrics
+        m.gauge("serve.jobs_active", len(self._active))
+        m.gauge(
+            "serve.jobs_queued",
+            sum(1 for j in self._jobs.values() if j.state == JobState.QUEUED),
+        )
+        m.gauge("serve.peak_active", self.peak_active)
+        if self._pool is not None:
+            m.gauge("serve.pool_backlog", self._pool.backlog())
 
     def _maybe_snapshot(self) -> None:
         """Publish a point-in-time metrics reading on the snapshot
         cadence: the live-telemetry heartbeat watchers and soak
         harnesses sample instead of waiting for the run to end."""
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return
         now = time.monotonic()
         if (
             self._last_snapshot_at is not None
@@ -1200,4 +1168,4 @@ class SolveScheduler:
             "metrics": self.obs.metrics.snapshot(),
         }
         self.last_snapshot = snapshot
-        tracer.emit("metrics_snapshot", snapshot=snapshot)
+        self.obs.tracer.emit("metrics_snapshot", snapshot=snapshot)

@@ -311,8 +311,10 @@ class TSMOEngine:
             self._no_improvement = True
             self._last_change_iteration = iteration
 
+        # The iteration whose neighborhood produced the new current: the
+        # Figure-1 carryover marker when it predates this iteration.
+        created = 0 if restarted else (selected.iteration if selected else 0)
         if self.trace is not None:
-            created = 0 if restarted else (selected.iteration if selected else 0)
             self.trace.record_selection(
                 created, iteration, self.current.objectives, restarted=restarted
             )
@@ -321,11 +323,11 @@ class TSMOEngine:
             self.trace.record_cache(iteration, cache.hits, cache.misses, cache.evictions)
         obs = self.obs
         if obs.enabled:
-            self._record_iteration(obs, neighbors, restarted, archive_changed)
+            self._record_iteration(obs, neighbors, restarted, archive_changed, created)
         return self.current
 
     def _record_iteration(
-        self, obs, neighbors, restarted: bool, archive_changed: bool
+        self, obs, neighbors, restarted: bool, archive_changed: bool, created: int
     ) -> None:
         """Emit the per-iteration events/metrics (instrumented runs only).
 
@@ -360,6 +362,7 @@ class TSMOEngine:
                     objectives.vehicles,
                     objectives.tardiness,
                 ],
+                created=created,
                 restarted=restarted,
             )
             if archive_changed:

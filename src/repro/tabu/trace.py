@@ -13,15 +13,10 @@ for the asynchronous variant, can differ from its creation iteration —
 the carryover the figure illustrates), and the archive front over
 time.
 
-The recorder predates the unified event stream in :mod:`repro.obs`;
-its public API is kept as-is (it is the cheapest way to build the
-Figure-1 arrays), but it now doubles as a thin shim: attach an
-:class:`~repro.obs.events.EventTracer` and every selection and archive
-change is mirrored onto the structured ``move_applied`` /
-``archive_update`` event types, so trajectory data and the JSONL trace
-come from one recording path.  Per-neighbor points are deliberately
-*not* mirrored — they are the hot path and the event schema has no
-per-neighbor type by design.
+The recorder is the in-memory form of the Figure-1 arrays.  Traced runs
+get the same selections from the engine's own ``move_applied`` events
+(which carry the ``created`` iteration); the recorder does not mirror
+anything onto the event stream.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.objectives import ObjectiveVector
-from repro.obs.events import NULL_TRACER
 
 __all__ = ["TrajectoryRecorder", "TrajectoryPoint"]
 
@@ -63,10 +57,6 @@ class TrajectoryRecorder:
     #: cumulative route-stats cache counters per iteration:
     #: ``(iteration, hits, misses, evictions)``.
     cache_timeline: list[tuple[int, int, int, int]] = field(default_factory=list)
-    #: optional structured-event mirror (see module docstring).  Not
-    #: part of the checkpointed state — the JSONL sink is durable on
-    #: its own and the ring is advisory.
-    tracer: object = field(default=NULL_TRACER, repr=False, compare=False)
 
     def record_neighbor(self, iteration: int, objectives: ObjectiveVector) -> None:
         """Record one evaluated neighbor."""
@@ -101,26 +91,10 @@ class TrajectoryRecorder:
                 restarted=restarted,
             )
         )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "move_applied",
-                iteration=selected_iteration,
-                objectives=[
-                    objectives.distance,
-                    objectives.vehicles,
-                    objectives.tardiness,
-                ],
-                created=created_iteration,
-                restarted=restarted,
-            )
 
     def record_archive_size(self, iteration: int, size: int) -> None:
         """Record the archive occupancy after an iteration."""
         self.archive_sizes.append((iteration, size))
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "archive_update", iteration=iteration, archive_size=size
-            )
 
     def record_cache(
         self, iteration: int, hits: int, misses: int, evictions: int

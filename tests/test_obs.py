@@ -30,7 +30,6 @@ from repro.obs import (
     MetricsRegistry,
     NULL_OBS,
     NULL_REGISTRY,
-    NULL_TRACER,
     NullProfiler,
     Obs,
     PhaseProfiler,
@@ -46,7 +45,6 @@ from repro.parallel.sync_ts import run_synchronous_tsmo
 from repro.persistence import CheckpointPolicy
 from repro.tabu.search import run_sequential_tsmo
 from repro.tabu.trace import TrajectoryRecorder
-from repro.core.objectives import ObjectiveVector
 
 DRIVERS = [
     "sequential",
@@ -480,29 +478,27 @@ class TestObsBundle:
         obs.set_unit("simulated")
         assert obs.profiler is first  # no-op when already right
 
-    def test_trajectory_recorder_mirrors_events(self):
-        tracer = EventTracer()
-        recorder = TrajectoryRecorder(tracer=tracer)
-        recorder.record_selection(
-            2, 3, ObjectiveVector(100.0, 4, 0.0), restarted=False
-        )
-        recorder.record_archive_size(3, 5)
-        recorder.record_neighbor(3, ObjectiveVector(90.0, 4, 0.0))
-        types = [e["type"] for e in tracer.events()]
-        assert types == ["move_applied", "archive_update"]
-        applied = tracer.events("move_applied")[0]
-        assert applied["objectives"] == [100.0, 4, 0.0]
-        assert applied["created"] == 2
+    def test_move_applied_carryover_matches_recorder(self):
+        """Figure 1 from the one event stream: carryover counted off the
+        engine's ``move_applied`` events equals the recorder's count."""
+        from repro.tabu.params import TSMOParams
+        from repro.vrptw.generator import generate_instance
 
-    def test_recorder_state_excludes_tracer(self):
-        recorder = TrajectoryRecorder(tracer=EventTracer())
-        recorder.record_archive_size(1, 1)
-        state = recorder.export_state()
-        assert "tracer" not in state
-        fresh = TrajectoryRecorder()
-        fresh.restore_state(state)
-        assert fresh.tracer is NULL_TRACER
-        assert fresh.archive_sizes == [(1, 1)]
+        instance = generate_instance("R1", 25, seed=31)
+        params = TSMOParams(max_evaluations=1500, neighborhood_size=30, restart_after=6)
+        obs = Obs()
+        recorder = TrajectoryRecorder()
+        run_asynchronous_tsmo(instance, params, 6, 1, trace=recorder, obs=obs)
+        moves = obs.tracer.events("move_applied")
+        # selections[0] is the initial solution, which no move applied.
+        assert [(m["iteration"], m["created"]) for m in moves] == [
+            (p.selected_iteration, p.created_iteration) for p in recorder.selections[1:]
+        ]
+        carryover = sum(
+            1 for m in moves if not m["restarted"] and m["iteration"] > m["created"]
+        )
+        assert carryover == recorder.carryover_count
+        assert carryover > 0
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tests for the zero-copy pool transport.
 
-Four layers, separately falsifiable:
+Three layers, separately falsifiable:
 
 * the wire codecs (``repro.parallel.wire``) — hypothesis round-trip
   properties on synthetic payloads plus an equivalence check against
@@ -8,10 +8,10 @@ Four layers, separately falsifiable:
 * the shared-memory instance broadcast (``repro.parallel.shm``) —
   attach fidelity in-process, and subprocess leak checks (clean
   shutdown *and* a SIGKILL-induced respawn must leave no segment and
-  no resource-tracker complaint);
-* the adaptive task sizer — pure-unit controller math;
-* end-to-end codec parity — seeded codec-on runs bit-identical to
-  codec-off for both mp drivers.
+  no resource-tracker complaint), plus the pickling fallback when no
+  segment can be created;
+* end-to-end transport — delta tasks in steady state and full
+  re-encoding after a worker crash.
 """
 
 import os
@@ -28,12 +28,8 @@ from hypothesis import strategies as st
 from repro.core.construction import i1_construct
 from repro.core.evaluation import Evaluator
 from repro.core.operators.registry import default_registry
-from repro.parallel.mp_backend import (
-    MpAsyncParams,
-    run_multiprocessing_async_tsmo,
-    run_multiprocessing_tsmo,
-)
-from repro.parallel.pool import AdaptiveSizer, FaultPlan, PoolParams, WorkerPool
+from repro.parallel.mp_backend import run_multiprocessing_tsmo
+from repro.parallel.pool import FaultPlan, PoolParams, WorkerPool
 from repro.parallel.shm import share_instance
 from repro.parallel.wire import (
     WireBatch,
@@ -43,6 +39,7 @@ from repro.parallel.wire import (
     wire_cost,
 )
 from repro.tabu.params import TSMOParams
+from repro.tabu.search import run_sequential_tsmo
 from repro.vrptw.generator import generate_instance
 
 FAST = PoolParams(
@@ -290,6 +287,26 @@ class TestSharedInstance:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 
+    def test_shm_failure_falls_back_to_pickling(self, instance, monkeypatch):
+        """With no segment to be had (e.g. /dev/shm full) the pool
+        pickles the instance into every spawn, and the search is
+        unchanged: lockstep still equals the sequential oracle."""
+        import repro.parallel.pool as pool_mod
+
+        def no_segment(_instance):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(pool_mod, "share_instance", no_segment)
+        params = TSMOParams(max_evaluations=150, neighborhood_size=20, restart_after=6)
+        seq = run_sequential_tsmo(instance, params, seed=9)
+        par = run_multiprocessing_tsmo(
+            instance, params, n_workers=1, seed=9, pool_params=FAST
+        )
+        assert par.extra["pool"]["transport"]["shared_instance"] is False
+        assert np.array_equal(seq.front(), par.front())
+        assert seq.evaluations == par.evaluations
+        assert seq.iterations == par.iterations
+
     @pytest.mark.parametrize("crash", [False, True], ids=["clean", "sigkill"])
     def test_no_leak_subprocess(self, crash, tmp_path):
         """No segment and no resource-tracker complaint at exit.
@@ -348,77 +365,7 @@ class TestSharedInstance:
 
 
 # ----------------------------------------------------------------------
-# Adaptive sizer
-# ----------------------------------------------------------------------
-class TestAdaptiveSizer:
-    def test_static_split_until_ready(self):
-        sizer = AdaptiveSizer(min_count=4)
-        assert not sizer.ready
-        assert sizer.suggest_count(100, 4) == 25
-        assert sizer.suggest_batch(50, 10) == 10
-        assert sizer.suggest_batch(50, None) == 50
-
-    def test_balances_overhead_against_tail(self):
-        sizer = AdaptiveSizer(min_count=4)
-        # 1 ms per neighbor, 100 ms fixed overhead per task.
-        for _ in range(5):
-            sizer.observe_task(100, 0.2, (0.05, 0.05))
-        assert sizer.ready
-        # c* = sqrt(total * o / w) = sqrt(400 * 0.1 / 0.001) = 200,
-        # clamped to the static per-slot ceiling of 100.
-        assert sizer.suggest_count(400, 4) == 100
-        # With negligible dispatch overhead (10 us/task) the tail term
-        # dominates: c* = sqrt(400 * 1e-5 / 1e-3) = 2, clamped up to
-        # the floor of 4.
-        cheap = AdaptiveSizer(min_count=4)
-        for _ in range(5):
-            cheap.observe_task(100, 0.10001, (0.05, 0.05))
-        assert cheap.suggest_count(400, 4) == 4
-
-    def test_batch_targets_half_the_wait(self):
-        sizer = AdaptiveSizer()
-        for _ in range(5):
-            sizer.observe_task(100, 0.1, (0.05, 0.05))  # 1 ms / neighbor
-            sizer.observe_wait(0.05)
-        # 0.05 s wait / (2 * 0.001 s) = 25 neighbors per batch.
-        assert sizer.suggest_batch(100, 100) == 25
-        assert sizer.suggest_batch(100, 10) == 10  # never above default
-
-    def test_degenerate_observations_ignored(self):
-        sizer = AdaptiveSizer()
-        sizer.observe_task(0, 1.0, None)
-        sizer.observe_task(10, -1.0, None)
-        sizer.observe_wait(-5.0)
-        assert sizer.observed == 0 and sizer.wait_ema is None
-
-    def test_pool_report_exposes_controller(self, instance, routes):
-        params = PoolParams(
-            heartbeat_interval=0.05,
-            heartbeat_timeout=10.0,
-            task_deadline=10.0,
-            backoff_base=0.01,
-            poll_interval=0.02,
-            adaptive_sizing=True,
-        )
-        with WorkerPool(instance, 1, params=params) as pool:
-            for i in range(4):
-                tid = pool.submit(routes, 8, seed=i, iteration=i + 1)
-                pool.gather([tid])
-            report = pool.report()
-        assert report["adaptive"]["observed_tasks"] == 4
-        assert report["adaptive"]["work_per_neighbor_s"] > 0
-        assert len(pool.plan_counts(64)) >= 1
-        assert sum(pool.plan_counts(64)) == 64
-
-    def test_plan_counts_static(self, instance, routes):
-        with WorkerPool(instance, 2, params=FAST) as pool:
-            assert pool.plan_counts(20) == [10, 10]
-            assert pool.plan_counts(21) == [11, 10]
-            assert pool.plan_counts(0) == []
-
-
-# ----------------------------------------------------------------------
-# End-to-end codec behavior
+# End-to-end transport behavior
 # ----------------------------------------------------------------------
 class TestTransportEndToEnd:
     def test_delta_tasks_take_over_in_steady_state(self, instance):
@@ -437,69 +384,11 @@ class TestTransportEndToEnd:
             pool.gather([t2])
             report = pool.report()
         transport = report["transport"]
-        assert transport["codec"] is True
         assert transport["shared_instance"] is True
         assert transport["full_tasks"] == 1  # first dispatch: no base yet
         assert transport["delta_tasks"] == 1  # second rides the delta
         assert transport["wire_batches"] >= 2
         assert transport["wire_batch_bytes"] > 0
-
-    def test_codec_off_still_works(self, instance, routes):
-        plain = PoolParams(
-            heartbeat_interval=0.05,
-            heartbeat_timeout=10.0,
-            task_deadline=10.0,
-            backoff_base=0.01,
-            poll_interval=0.02,
-            codec=False,
-            shared_instance=False,
-        )
-        with WorkerPool(instance, 1, params=plain) as pool:
-            assert pool._shared is None
-            tid = pool.submit(routes, 6, seed=3, iteration=1)
-            outcome = pool.gather([tid])[tid]
-            transport = pool.report()["transport"]
-        assert transport["codec"] is False
-        assert transport["wire_batches"] == 0
-        assert len(outcome.neighbors) == 6
-
-    def test_sync_driver_codec_parity(self, instance):
-        """Seeded codec-on and codec-off runs are bit-identical (sync)."""
-        params = TSMOParams(max_evaluations=150, neighborhood_size=20, restart_after=6)
-        off = PoolParams(**{**_fast_kwargs(), "codec": False, "shared_instance": False})
-        on = PoolParams(**_fast_kwargs())
-        a = run_multiprocessing_tsmo(
-            instance, params, n_workers=2, seed=11, pool_params=off
-        )
-        b = run_multiprocessing_tsmo(
-            instance, params, n_workers=2, seed=11, pool_params=on
-        )
-        assert np.array_equal(a.front(), b.front())
-        assert a.evaluations == b.evaluations
-        assert a.iterations == b.iterations
-        assert a.restarts == b.restarts
-
-    def test_async_driver_codec_parity(self, instance):
-        """Seeded codec parity for the async driver, forced deterministic.
-
-        With one worker, batches as large as the task and an unreachable
-        ``max_wait``, the only decision trigger is c1 on a *complete*
-        task — so the trajectory is a pure function of the seed and the
-        codec must not change it.
-        """
-        params = TSMOParams(max_evaluations=150, neighborhood_size=20, restart_after=6)
-        aparams = MpAsyncParams(batch_size=1000, max_wait=1e9, poll_timeout=0.02)
-        off = PoolParams(**{**_fast_kwargs(), "codec": False, "shared_instance": False})
-        on = PoolParams(**_fast_kwargs())
-        a = run_multiprocessing_async_tsmo(
-            instance, params, n_workers=1, seed=13, async_params=aparams, pool_params=off
-        )
-        b = run_multiprocessing_async_tsmo(
-            instance, params, n_workers=1, seed=13, async_params=aparams, pool_params=on
-        )
-        assert np.array_equal(a.front(), b.front())
-        assert a.evaluations == b.evaluations
-        assert a.iterations == b.iterations
 
     def test_codec_survives_worker_crash(self, instance, routes):
         """A respawned worker has no delta base: retry must go full."""
@@ -519,16 +408,6 @@ class TestTransportEndToEnd:
 
         assert first.neighbors == run_on_master(instance, routes, 6, seed=4)
         assert second.neighbors == run_on_master(instance, routes, 6, seed=5)
-
-
-def _fast_kwargs() -> dict:
-    return dict(
-        heartbeat_interval=0.05,
-        heartbeat_timeout=10.0,
-        task_deadline=10.0,
-        backoff_base=0.01,
-        poll_interval=0.02,
-    )
 
 
 class TestWireCost:
