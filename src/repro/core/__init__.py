@@ -10,8 +10,6 @@ the search (§III.B).
 
 from repro.core.construction import I1Params, i1_construct
 from repro.core.evaluation import Evaluator, evaluate
-from repro.core.fleet_reduction import FleetReductionResult, reduce_fleet
-from repro.core.local_search import LocalSearchResult, ScalarWeights, local_search
 from repro.core.objectives import FEASIBILITY_TOLERANCE, ObjectiveVector
 from repro.core.routes import RouteSchedule, RouteStats, route_schedule, route_stats
 from repro.core.solution import Solution
@@ -19,18 +17,13 @@ from repro.core.solution import Solution
 __all__ = [
     "Evaluator",
     "FEASIBILITY_TOLERANCE",
-    "FleetReductionResult",
     "I1Params",
-    "LocalSearchResult",
     "ObjectiveVector",
     "RouteSchedule",
     "RouteStats",
-    "ScalarWeights",
     "Solution",
     "evaluate",
     "i1_construct",
-    "local_search",
-    "reduce_fleet",
     "route_schedule",
     "route_stats",
 ]

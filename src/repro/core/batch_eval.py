@@ -27,20 +27,22 @@ compact summary of the parent solution:
   same batched algorithm either way, so the knob toggles only who
   computes the objectives; trajectories must match bit-for-bit.
 
-Fallback rules (all deterministic functions of the parent, never of
-the knob):
+:func:`sample_batch` is the one neighborhood sampler: the sequential
+searcher, the simulated drivers, pool workers and serve jobs all call
+it.  Fallback rules (all deterministic functions of the parent, never
+of the knob):
 
 * a registry containing any operator without a descriptor emitter
   (e.g. the non-paper ``SegmentExchange``) is not batch-supported —
-  callers keep the legacy scalar loop on both knob settings;
+  every slot goes to the scalar tail below, on both knob settings;
 * an operator whose ``batch_ready(pre)`` is false for this parent
   (say, 2-opt* on a single-route solution) is skipped without
   consuming RNG, exactly like its scalar ``propose`` returning
   ``None`` before the first draw;
-* slots still unfilled after :data:`_MAX_ROUNDS` oversampling rounds
-  fall back to scalar ``registry.draw_move`` (counted in the
-  ``eval.scalar_fallbacks`` metric), and a ``None`` from that cap
-  truncates the neighborhood exactly like the legacy sampler.
+* slots still unfilled after :data:`_ROUNDS` oversampling rounds fall
+  back to scalar ``registry.draw_move`` in slot order (counted in the
+  ``eval.scalar_fallbacks`` metric), and a ``None`` from its retry cap
+  truncates the neighborhood at that slot.
 
 Known counter caveat: the kernel performs its cache lookups grouped by
 operator kind rather than in slot order.  The multiset of looked-up
@@ -274,9 +276,10 @@ def batch_supported(registry) -> bool:
     """Whether every operator in ``registry`` has a descriptor emitter.
 
     Registries mixing in non-batch operators (or subclasses that
-    override ``propose``) keep the legacy scalar sampling loop on both
-    knob settings, so the bit-identity guarantee is preserved trivially.
-    The answer is memoized on the registry.
+    override ``propose``) draw every slot through the scalar tail of
+    :func:`sample_batch` on both knob settings, so the bit-identity
+    guarantee is preserved trivially.  The answer is memoized on the
+    registry.
     """
     flag = getattr(registry, "_batch_supported", None)
     if flag is None:
@@ -420,7 +423,7 @@ def _propose_all(size, registry, rng, pre):
 def _scalar_tail(solution, registry, rng, unfilled):
     """Scalar ``draw_move`` for the slots vector proposal left unfilled.
 
-    Mirrors the legacy sampler's semantics: a ``None`` (retry cap
+    Draws in slot order from the same stream; a ``None`` (retry cap
     exhausted) truncates the neighborhood at that slot.
     """
     tail = {}
@@ -795,21 +798,26 @@ def sample_batch(
     eager_moves=False,
     timed=False,
 ) -> BatchResult:
-    """Sample and evaluate one neighborhood through the batch kernel.
+    """Sample and evaluate one neighborhood — the only sampler there is.
 
     Sampling (the RNG-consuming part) is identical for both values of
     ``vector``; the flag picks the evaluation path — the vectorized
     kernel or the scalar bit-identity oracle
     (:meth:`~repro.core.evaluation.Evaluator.evaluate_move`).  Slots
     that fell back to scalar ``draw_move`` are scalar-evaluated on both
-    paths.  ``rng`` must be the plain :class:`numpy.random.Generator`
-    whose stream defines the trajectory.
+    paths; a registry that is not :func:`batch_supported` takes every
+    slot that way.  ``rng`` must be the plain
+    :class:`numpy.random.Generator` whose stream defines the trajectory.
     """
-    state = _kernel_state(evaluator)
-    pre = state.parent_arrays(solution)
+    supported = batch_supported(registry)
     clock = time.perf_counter
     t0 = clock() if timed else 0.0
-    kinds, fields, unfilled = _propose_all(size, registry, rng, pre)
+    if supported:
+        pre = _kernel_state(evaluator).parent_arrays(solution)
+        kinds, fields, unfilled = _propose_all(size, registry, rng, pre)
+    else:
+        kinds = np.full(size, -1, dtype=np.int64)
+        unfilled = np.arange(size, dtype=np.int64)
     tail, cut = _scalar_tail(solution, registry, rng, unfilled)
     t1 = clock() if timed else 0.0
 
@@ -817,8 +825,8 @@ def sample_batch(
     vslots = np.nonzero(kinds[:limit] >= 0)[0]
     entries: list = [None] * limit
     metrics = evaluator.metrics
-    operators = registry.operators
-    builders = [_MOVE_BUILDERS[type(op)] for op in operators]
+    if supported:
+        builders = [_MOVE_BUILDERS[type(op)] for op in registry.operators]
     evaluate_move = evaluator.evaluate_move
 
     if vector:
@@ -850,10 +858,9 @@ def sample_batch(
             if len(vslots):
                 metrics.inc("evaluate.moves", len(vslots))
                 metrics.inc("evaluate.routes_touched", routes_touched)
-            metrics.inc("eval.vector_calls")
-            metrics.observe("eval.batch_size", len(vslots), buckets=_BATCH_BUCKETS)
-            if tail:
-                metrics.inc("eval.scalar_fallbacks", len(tail))
+            if supported:
+                metrics.inc("eval.vector_calls")
+                metrics.observe("eval.batch_size", len(vslots), buckets=_BATCH_BUCKETS)
     else:
         # Oracle path: same slots, same moves, evaluated one by one in
         # slot order through the scalar delta engine.
@@ -863,6 +870,8 @@ def sample_batch(
             if move is None:
                 move = builders[kinds_l[s]](pre, fields[s].tolist())
             entries[s] = (evaluate_move(solution, move), move, None)
+    if metrics.enabled and tail:
+        metrics.inc("eval.scalar_fallbacks", len(tail))
     gen_seconds = (t1 - t0) if timed else 0.0
     eval_seconds = (clock() - t1) if timed else 0.0
     return BatchResult(entries, gen_seconds, eval_seconds)

@@ -93,11 +93,13 @@ class SegmentExchange(Operator):
         n_donors = len(donors)
         customer_hi = instance.n_customers + 1
         for _ in range(self.max_attempts):
-            route_a = donors[integers(n_donors)]
+            # int(): move fields and route tuples hold Python ints, not
+            # the np.int64 a Generator returns.
+            route_a = donors[int(integers(n_donors))]
             ra = routes[route_a]
-            pos_a = integers(0, len(ra) - 1)
+            pos_a = int(integers(0, len(ra) - 1))
             segment = ra[pos_a : pos_a + 2]
-            customer = integers(1, customer_hi)
+            customer = int(integers(1, customer_hi))
             route_b, pos_b = locate(customer)
             if route_b == route_a:
                 continue

@@ -29,13 +29,10 @@ Knobs
   (default 65536, ~a few MB of tuples + stats).  ``capacity=0``
   disables retention entirely: every lookup recomputes (and counts as
   a miss), which is the reference behavior for A/B testing.
-* ``REPRO_STATS_CACHE_CAPACITY`` — environment override for the
-  default capacity.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -45,25 +42,13 @@ from repro.core.routes import RouteStats, route_stats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.vrptw.instance import Instance
 
-__all__ = ["CacheStats", "RouteStatsCache", "default_capacity"]
+__all__ = ["CacheStats", "RouteStatsCache"]
 
 _DEFAULT_CAPACITY = 65536
 
 #: placeholder stored by :meth:`RouteStatsCache.lookup_deferred` for a
 #: counted miss whose stats the caller computes later (batch kernel).
 _PENDING = object()
-
-
-def default_capacity() -> int:
-    """The configured default capacity (``REPRO_STATS_CACHE_CAPACITY``)."""
-    raw = os.environ.get("REPRO_STATS_CACHE_CAPACITY")
-    if raw is None:
-        return _DEFAULT_CAPACITY
-    try:
-        value = int(raw)
-    except ValueError:
-        return _DEFAULT_CAPACITY
-    return max(0, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,9 +96,9 @@ class RouteStatsCache:
 
     __slots__ = ("instance", "capacity", "lookups", "hits", "misses", "evictions", "_data")
 
-    def __init__(self, instance: "Instance", capacity: int | None = None) -> None:
+    def __init__(self, instance: "Instance", capacity: int = _DEFAULT_CAPACITY) -> None:
         self.instance = instance
-        self.capacity = default_capacity() if capacity is None else max(0, int(capacity))
+        self.capacity = max(0, int(capacity))
         self.lookups = 0
         self.hits = 0
         self.misses = 0

@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.batch_eval import batch_supported, sample_batch, vector_eval_enabled
+from repro.core.batch_eval import sample_batch, vector_eval_enabled
 from repro.core.evaluation import Evaluator
 from repro.core.operators.registry import OperatorRegistry, default_registry
 from repro.core.solution import Solution
@@ -68,7 +68,6 @@ from repro.obs import ENV_OBS, ENV_TRACE_DIR, NULL_OBS, EventTracer, utc_timesta
 from repro.parallel.messages import PoolBatch, PoolHeartbeat, PoolTask, StopMessage
 from repro.parallel.shm import SharedInstance, SharedInstanceRef, share_instance
 from repro.parallel.wire import WireBatch, WireRoutes, WireTaskDelta, diff_routes
-from repro.rng import FastRng
 from repro.vrptw.instance import Instance
 
 __all__ = [
@@ -259,9 +258,21 @@ def execute_task(
     hits0, misses0 = cache.hits, cache.misses
     solution = Solution(instance, task.routes)
     rng = _task_rng(task)
+    # One sampler call samples and scores the whole task; the entries
+    # then stream out in ``batch_size`` chunks through ``flush``.
+    # Moves are materialized eagerly — every entry ships its
+    # edits/routes to the master.
+    result = sample_batch(
+        solution,
+        task.count,
+        registry,
+        rng,
+        evaluator,
+        vector=vector_eval_enabled(),
+        eager_moves=True,
+        timed=timed,
+    )
     out = []
-    gen_s = eval_s = 0.0
-    clock = time.perf_counter
 
     def flush(final: bool) -> PoolBatch:
         neighbors = WireBatch.encode(out) if codec else tuple(out)
@@ -279,69 +290,22 @@ def execute_task(
             cache_delta=(
                 (cache.hits - hits0, cache.misses - misses0) if final else None
             ),
-            phase=(gen_s, eval_s) if final and timed else None,
+            phase=(
+                (result.gen_seconds, result.eval_seconds) if final and timed else None
+            ),
         )
 
-    if batch_supported(registry):
-        # Batched path: one kernel call samples and scores the whole
-        # task; the entries then stream out in ``batch_size`` chunks
-        # through the same flush protocol.  Moves are materialized
-        # eagerly — every entry ships its edits/routes to the master.
-        result = sample_batch(
-            solution,
-            task.count,
-            registry,
-            rng,
-            evaluator,
-            vector=vector_eval_enabled(),
-            eager_moves=True,
-            timed=timed,
-        )
-        gen_s = result.gen_seconds
-        eval_s = result.eval_seconds
-        for obj, move, _ in result.entries:
-            objective = (obj.distance, obj.vehicles, obj.tardiness)
-            if codec:
-                replacements, added = move.route_edits(solution)
-                out.append((replacements, added, objective, move.attribute))
-            else:
-                child = move.apply(solution)  # routes must ship to the master
-                out.append((child.routes, objective, move.attribute))
-            if len(out) >= task.batch_size:
-                yield flush(final=False)
-                out = []
-        yield flush(final=True)
-        return
-
-    fast = FastRng(rng)
-    try:
-        for _ in range(task.count):
-            if timed:
-                t0 = clock()
-                move = registry.draw_move(solution, fast)
-                gen_s += clock() - t0
-            else:
-                move = registry.draw_move(solution, fast)
-            if move is None:
-                break
-            if timed:
-                t0 = clock()
-                obj = evaluator.evaluate_move(solution, move)
-                eval_s += clock() - t0
-            else:
-                obj = evaluator.evaluate_move(solution, move)
-            objective = (obj.distance, obj.vehicles, obj.tardiness)
-            if codec:
-                replacements, added = move.route_edits(solution)
-                out.append((replacements, added, objective, move.attribute))
-            else:
-                child = move.apply(solution)  # routes must ship to the master
-                out.append((child.routes, objective, move.attribute))
-            if len(out) >= task.batch_size:
-                yield flush(final=False)
-                out = []
-    finally:
-        fast.detach()
+    for obj, move, _ in result.entries:
+        objective = (obj.distance, obj.vehicles, obj.tardiness)
+        if codec:
+            replacements, added = move.route_edits(solution)
+            out.append((replacements, added, objective, move.attribute))
+        else:
+            child = move.apply(solution)  # routes must ship to the master
+            out.append((child.routes, objective, move.attribute))
+        if len(out) >= task.batch_size:
+            yield flush(final=False)
+            out = []
     yield flush(final=True)
 
 

@@ -17,13 +17,11 @@ every decision, including the simulated message orderings.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
-    "FastRng",
     "RngFactory",
     "as_generator",
     "get_generator_state",
@@ -37,9 +35,8 @@ def get_generator_state(generator: np.random.Generator) -> dict:
 
     The returned dict is ``BitGenerator.state`` — for PCG64 it includes
     the 128-bit LCG state *and* the ``has_uint32``/``uinteger``
-    half-word carry, which is also where :class:`FastRng` parks its
-    buffer position on detach, so a generator captured at an iteration
-    boundary fully determines every future draw.
+    half-word carry, so a generator captured at an iteration boundary
+    fully determines every future draw.
     """
     bg = generator.bit_generator
     return {"class": type(bg).__name__, "state": bg.state}
@@ -151,306 +148,3 @@ class RngFactory:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"RngFactory(entropy={self._root.entropy!r}, spawned={self._spawned})"
-
-
-# ----------------------------------------------------------------------
-# FastRng — a bit-identical scalar fast path over PCG64
-# ----------------------------------------------------------------------
-#
-# Profiling the neighborhood hot path (DESIGN.md "delta evaluation")
-# shows ~70% of sampling time is spent inside scalar
-# ``Generator.integers`` calls: each one crosses the numpy C dispatch
-# layer (~1.5-2.4 us) to draw a handful of bits.  ``FastRng`` prefetches
-# raw PCG64 output words in blocks via ``BitGenerator.random_raw`` and
-# replicates numpy's bounded-integer rejection sampling (Lemire's
-# multiply-shift, 32-bit path for ranges below 2**32 with the
-# half-word carry, 64-bit path above) in pure Python over those words —
-# the exact same bit consumption, so every draw returns the exact value
-# the wrapped generator would have produced.  On ``detach`` the unused
-# words are returned to the generator with ``BitGenerator.advance`` and
-# the half-word carry is written back into the bit-generator state, so
-# the wrapped generator continues the stream as if FastRng had never
-# existed.  Draws through the facade cost ~0.35 us instead of ~1.6 us.
-#
-# The replication is self-tested once per process against numpy itself
-# (see :func:`_fast_path_ok`); if the check fails — a non-PCG64 bit
-# generator, a numpy that changed its integer algorithm, a build
-# without ``random_raw`` — the facade transparently degrades to plain
-# delegation.  ``REPRO_FAST_RNG=0`` in the environment forces the
-# fallback.
-
-_M32 = 0xFFFFFFFF
-_M64 = (1 << 64) - 1
-_INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53, numpy's next_double scale
-_BLOCK = 512
-
-_FAST_VERIFIED: bool | None = None
-
-
-class FastRng:
-    """Buffered, bit-identical ``integers``/``random`` facade.
-
-    Wrap a :class:`numpy.random.Generator` for a burst of scalar draws,
-    then call :meth:`detach` to hand the stream back::
-
-        fast = FastRng(rng)
-        try:
-            i = fast.integers(0, 10)   # == rng.integers(0, 10) bit-for-bit
-            u = fast.random()
-        finally:
-            fast.detach()
-
-    Only scalar ``integers(low[, high])`` with int64-range bounds and
-    argument-less ``random()`` are accelerated, which is all the
-    neighborhood sampling path uses.  With a non-PCG64 generator (or a
-    numpy whose draw algorithm no longer matches) every call simply
-    delegates to the wrapped generator.
-    """
-
-    __slots__ = ("_gen", "_bg", "_buf", "_pos", "_n", "_align")
-
-    def __new__(
-        cls, generator: np.random.Generator, *, _force: bool = False
-    ) -> "FastRng":
-        # Dispatch the capability check once at construction instead of
-        # per draw: an ineligible generator gets the delegating subclass,
-        # so the hot methods below carry no fallback branch.
-        if cls is FastRng and not _force:
-            bg = generator.bit_generator
-            if not (type(bg).__name__ == "PCG64" and _fast_path_ok()):
-                cls = _DelegatingRng
-        return object.__new__(cls)
-
-    def __init__(self, generator: np.random.Generator, *, _force: bool = False) -> None:
-        self._gen = generator
-        #: 32-bit halves in numpy consumption order (low half first);
-        #: a pending carry from the generator state sits at index 0.
-        self._buf: list[int] = []
-        self._pos = 0
-        self._n = 0
-        #: index of the first word-aligned boundary in ``_buf`` — 1 when
-        #: the generator carried a pending half-word into the facade.
-        self._align = 0
-        self._bg = generator.bit_generator
-        state = self._bg.state
-        # Pick up a pending half-word so the carry semantics match
-        # numpy's pcg64_next32 exactly.
-        if state["has_uint32"]:
-            self._buf = [int(state["uinteger"])]
-            self._n = 1
-            self._align = 1
-
-    # -- raw word plumbing ---------------------------------------------
-    def _refill(self) -> None:
-        # Only reached word-aligned (see detach() for the invariant), so
-        # the new block starts on a word boundary.  The interleave runs
-        # in numpy; tolist() hands back plain Python ints.
-        raw = self._bg.random_raw(_BLOCK)
-        halves = np.empty(2 * _BLOCK, dtype=np.uint64)
-        halves[0::2] = raw & _M32
-        halves[1::2] = raw >> np.uint64(32)
-        self._buf = halves.tolist()
-        self._pos = 0
-        self._n = 2 * _BLOCK
-        self._align = 0
-
-    def _u32(self) -> int:
-        pos = self._pos
-        if pos >= self._n:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
-
-    def _u64(self) -> int:
-        # numpy's next64 draws a fresh raw word; a pending half-word
-        # carry (odd offset from the word boundary) survives it.
-        pos = self._pos
-        if (pos - self._align) & 1:
-            if pos + 3 > self._n:
-                # Rare: carry + part of the word past the buffer end.
-                # Re-buffer the tail in front of a fresh block.
-                tail = self._buf[pos:]
-                self._refill()
-                self._buf = tail + self._buf
-                self._n += len(tail)
-                self._align = len(tail)
-                pos = 0
-            buf = self._buf
-            carry = buf[pos]
-            word = buf[pos + 1] | (buf[pos + 2] << 32)
-            buf[pos + 2] = carry  # the carry stays next in line
-            self._pos = pos + 2
-            return word
-        if pos + 2 > self._n:
-            self._refill()
-            pos = 0
-        buf = self._buf
-        word = buf[pos] | (buf[pos + 1] << 32)
-        self._pos = pos + 2
-        return word
-
-    # -- public draws --------------------------------------------------
-    def integers(
-        self, low: int, high: int | None = None, _M32: int = _M32, _M64: int = _M64
-    ) -> int:
-        """Scalar ``Generator.integers(low, high)`` (high exclusive).
-
-        The 32-bit Lemire path — every bounded draw the sampling loop
-        makes — is inlined (no ``_u32`` call) because this method
-        dominates the neighborhood-generation profile; the mask
-        constants ride in as defaults to skip the global loads.
-        """
-        if high is None:
-            low, high = 0, low
-        rng = high - 1 - low
-        if type(rng) is not int:  # tolerate numpy-integer bounds
-            rng = int(rng)
-            low = int(low)
-        if rng == 0:
-            return low
-        if rng < _M32:
-            rng_excl = rng + 1
-            pos = self._pos
-            if pos >= self._n:
-                self._refill()
-                pos = 0
-            self._pos = pos + 1
-            m = self._buf[pos] * rng_excl
-            leftover = m & _M32
-            if leftover < rng_excl:
-                threshold = (4294967296 - rng_excl) % rng_excl
-                while leftover < threshold:
-                    m = self._u32() * rng_excl
-                    leftover = m & _M32
-            return low + (m >> 32)
-        if rng == _M32:
-            return low + self._u32()
-        rng_excl = rng + 1
-        m = self._u64() * rng_excl
-        leftover = m & _M64
-        if leftover < rng_excl:
-            threshold = (18446744073709551616 - rng_excl) % rng_excl
-            while leftover < threshold:
-                m = self._u64() * rng_excl
-                leftover = m & _M64
-        return low + (m >> 64)
-
-    def random(self, size: int | None = None) -> float | np.ndarray:
-        """``Generator.random()`` — a double in [0, 1), scalar or 1-d block.
-
-        numpy fills an array by repeating the scalar next-double recipe,
-        so the looped block below consumes the identical words and
-        returns the identical doubles the wrapped generator would have
-        produced for ``random(size)``.
-        """
-        if size is None:
-            return (self._u64() >> 11) * _INV_2_53
-        u64 = self._u64
-        return np.array([(u64() >> 11) * _INV_2_53 for _ in range(size)])
-
-    def detach(self) -> None:
-        """Return unconsumed words and the half-word carry to the generator.
-
-        After this the wrapped generator produces the identical stream
-        it would have without FastRng.  Safe to call twice.
-        """
-        bg = self._bg
-        if bg is None:
-            return
-        pos = self._pos
-        n = self._n
-        if (pos - self._align) & 1:
-            # A half-word carry is pending: it goes back into the
-            # bit-generator state, the full words behind it are rewound.
-            carry = self._buf[pos]
-            unused = (n - pos - 1) >> 1
-            has32 = 1
-        else:
-            carry = 0
-            unused = (n - pos) >> 1
-            has32 = 0
-        if unused:
-            bg.advance(-unused)
-        state = bg.state
-        state["has_uint32"] = has32
-        state["uinteger"] = carry
-        bg.state = state
-        self._bg = None
-        self._buf = []
-        self._pos = self._n = self._align = 0
-
-
-class _DelegatingRng(FastRng):
-    """Plain delegation for generators that cannot take the fast path.
-
-    Selected by ``FastRng.__new__`` (non-PCG64 bit generator, failed
-    self-test, or ``REPRO_FAST_RNG=0``); every draw goes straight to the
-    wrapped generator, so the facade is a no-op wrapper.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, generator: np.random.Generator, *, _force: bool = False) -> None:
-        self._gen = generator
-        self._bg = None
-        self._buf = []
-        self._pos = self._n = self._align = 0
-
-    def integers(self, low: int, high: int | None = None) -> int:
-        return int(self._gen.integers(low, high))
-
-    def random(self, size: int | None = None) -> float | np.ndarray:
-        if size is None:
-            return float(self._gen.random())
-        return self._gen.random(size)
-
-    def detach(self) -> None:
-        return None
-
-
-def _fast_path_ok() -> bool:
-    """One-time self-test: does FastRng replicate numpy bit-for-bit?
-
-    Exercises both Lemire paths, the no-draw degenerate range, the
-    half-word carry across interleaved ``integers``/``random`` calls,
-    and the detach handoff.  Any mismatch or exception (different numpy
-    algorithm, missing ``random_raw``) permanently disables the fast
-    path for this process.
-    """
-    global _FAST_VERIFIED
-    if _FAST_VERIFIED is not None:
-        return _FAST_VERIFIED
-    if os.environ.get("REPRO_FAST_RNG", "1") == "0":
-        _FAST_VERIFIED = False
-        return False
-    try:
-        ref = np.random.default_rng(987654321)
-        gen = np.random.default_rng(987654321)
-        fast = FastRng(gen, _force=True)
-        bounds = [
-            (0, 1), (0, 2), (0, 5), (1, 101), (0, 16), (0, 17), (3, 4),
-            (-7, 9), (0, 10**6), (0, 2**31), (0, 2**33), (0, 2**62),
-        ]
-        ok = True
-        for lo, hi in bounds * 4:
-            if fast.integers(lo, hi) != int(ref.integers(lo, hi)):
-                ok = False
-                break
-            if fast.random() != float(ref.random()):
-                ok = False
-                break
-        # The block form must replay numpy's array fill exactly, half-word
-        # carry included (the preceding interleave leaves one pending).
-        if ok:
-            ok = bool(np.array_equal(fast.random(7), ref.random(7)))
-        if ok:
-            fast.detach()
-            ok = (
-                float(gen.random()) == float(ref.random())
-                and int(gen.integers(0, 1000)) == int(ref.integers(0, 1000))
-            )
-        _FAST_VERIFIED = ok
-    except Exception:  # pragma: no cover - defensive numpy-drift guard
-        _FAST_VERIFIED = False
-    return _FAST_VERIFIED

@@ -11,41 +11,36 @@ parallelizes.  Each produced :class:`Neighbor` carries the move (for
 the tabu attribute) and its objectives; every neighbor costs one unit
 of the evaluation budget.
 
-For registries whose operators all provide descriptor emitters (the
-paper's standard five do), sampling and evaluation run through the
-batched kernel in :mod:`repro.core.batch_eval`: one uniform block
-drives all operator wheels at once, candidate feasibility is screened
-with array gathers, and the surviving moves' objectives are assembled
-in a handful of vectorized operations.  The ``REPRO_VECTOR_EVAL`` knob
-(on by default) switches only the *evaluation* side between the kernel
-and the scalar bit-identity oracle
+Sampling and evaluation run through the one sampler,
+:func:`repro.core.batch_eval.sample_batch`.  For registries whose
+operators all provide descriptor emitters (the paper's standard five
+do), one uniform block drives all operator wheels at once, candidate
+feasibility is screened with array gathers, and the surviving moves'
+objectives are assembled in a handful of vectorized operations.  The
+``REPRO_VECTOR_EVAL`` knob (on by default) switches only the
+*evaluation* side between the kernel and the scalar bit-identity oracle
 (:meth:`~repro.core.evaluation.Evaluator.evaluate_move`); the sampled
 moves are the same stream either way, and the two settings must
-produce bit-identical search trajectories.
+produce bit-identical search trajectories.  A registry holding an
+operator without an emitter (e.g. the non-paper ``SegmentExchange``)
+draws every slot with scalar ``draw_move`` from the same stream.
 
-Registries containing operators without emitters (e.g. the non-paper
-``SegmentExchange``) keep the legacy scalar loop: per-move
-``draw_move`` through :class:`repro.rng.FastRng` (a buffered
-bit-identical facade over the sampler's PCG64 stream) plus per-move
-delta evaluation.  The child :class:`Solution` — and on the kernel
-path even the move object — materializes lazily, only if the neighbor
-is actually selected or archived (roughly 1 of S per iteration).
+The child :class:`Solution` — and for kernel-proposed neighbors even
+the move object — materializes lazily, only if the neighbor is
+actually selected or archived (roughly 1 of S per iteration).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.batch_eval import batch_supported, sample_batch, vector_eval_enabled
+from repro.core.batch_eval import sample_batch, vector_eval_enabled
 from repro.core.evaluation import Evaluator
 from repro.core.objectives import ObjectiveVector
 from repro.core.operators.base import Move
 from repro.core.operators.registry import OperatorRegistry
 from repro.core.solution import Solution
 from repro.errors import SearchError
-from repro.rng import FastRng
 
 __all__ = ["LazyNeighbor", "Neighbor", "sample_neighborhood"]
 
@@ -160,68 +155,28 @@ def sample_neighborhood(
     treat a short list exactly like a full one.
 
     ``profiler`` (a :class:`~repro.obs.profiler.PhaseProfiler` in
-    wall-clock units) splits the loop into *generate* (move proposal)
-    and *evaluate* (delta evaluation) phases.  The instrumented loop is
-    a separate body so the default path stays exactly as fast as
-    before; the draws and evaluations themselves are identical, so the
-    produced neighborhood is bit-for-bit the same.
+    wall-clock units) receives the *generate* (move proposal) and
+    *evaluate* phases; timing never changes the draws or evaluations,
+    so the produced neighborhood is bit-for-bit the same.
     """
     neighbors: list[Neighbor] = []
     if size <= 0:
         return neighbors
-    if batch_supported(registry):
-        result = sample_batch(
-            solution,
-            size,
-            registry,
-            rng,
-            evaluator,
-            vector=vector_eval_enabled(),
-            timed=profiler is not None,
-        )
-        for objectives, move, maker in result.entries:
-            if maker is not None:
-                append_neighbor = LazyNeighbor(maker, objectives, iteration, parent=solution)
-            else:
-                append_neighbor = Neighbor(move, objectives, iteration, parent=solution)
-            neighbors.append(append_neighbor)
-        if profiler is not None:
-            profiler.add("generate", result.gen_seconds)
-            profiler.add("evaluate", result.eval_seconds)
-        return neighbors
-    # Legacy scalar loop — the registry holds operators without
-    # descriptor emitters, so both knob settings sample and evaluate
-    # per move (and the kernel's fallback counter records the misses).
-    metrics = evaluator.metrics
-    draw_move = registry.draw_move
-    evaluate_move = evaluator.evaluate_move
-    append = neighbors.append
-    fast = FastRng(rng)
-    try:
-        if profiler is None:
-            for _ in range(size):
-                move = draw_move(solution, fast)
-                if move is None:
-                    break
-                objectives = evaluate_move(solution, move)
-                append(Neighbor(move, objectives, iteration, parent=solution))
+    result = sample_batch(
+        solution,
+        size,
+        registry,
+        rng,
+        evaluator,
+        vector=vector_eval_enabled(),
+        timed=profiler is not None,
+    )
+    for objectives, move, maker in result.entries:
+        if maker is not None:
+            neighbors.append(LazyNeighbor(maker, objectives, iteration, parent=solution))
         else:
-            perf_counter = time.perf_counter
-            generated = evaluated = 0.0
-            for _ in range(size):
-                t0 = perf_counter()
-                move = draw_move(solution, fast)
-                t1 = perf_counter()
-                generated += t1 - t0
-                if move is None:
-                    break
-                objectives = evaluate_move(solution, move)
-                evaluated += perf_counter() - t1
-                append(Neighbor(move, objectives, iteration, parent=solution))
-            profiler.add("generate", generated)
-            profiler.add("evaluate", evaluated)
-    finally:
-        fast.detach()
-    if metrics.enabled and neighbors:
-        metrics.inc("eval.scalar_fallbacks", len(neighbors))
+            neighbors.append(Neighbor(move, objectives, iteration, parent=solution))
+    if profiler is not None:
+        profiler.add("generate", result.gen_seconds)
+        profiler.add("evaluate", result.eval_seconds)
     return neighbors

@@ -410,12 +410,11 @@ class TSMOEngine:
         calls): the current solution and all three memories as encoded
         route tuples, all counters, the stagnation bookkeeping, the
         exact RNG bit-state (PCG64 state dict including the half-word
-        carry, which also encodes any FastRng handoff), and the
-        trajectory recorder.  The route-stats cache is deliberately NOT
-        captured — it is a pure performance memo whose contents never
-        influence results, so a resumed run simply starts cold (its
-        hit/miss counters are the one documented bit-identity
-        exclusion besides wall time).
+        carry), and the trajectory recorder.  The route-stats cache is
+        deliberately NOT captured — it is a pure performance memo whose
+        contents never influence results, so a resumed run simply
+        starts cold (its hit/miss counters are the one documented
+        bit-identity exclusion besides wall time).
         """
         if self.current is None:
             raise SearchError("cannot snapshot an uninitialized engine")

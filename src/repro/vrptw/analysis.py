@@ -10,10 +10,11 @@ their own instances:
 
 * :func:`window_stats` — widths, density and horizon utilization;
 * :func:`compatibility_graph` — the directed "temporal compatibility"
-  graph whose edge ``u -> v`` means serving ``v`` directly after ``u``
-  is locally admissible (the paper's §II.B criterion); its density is
-  exactly the probability that a random operator adjacency passes the
-  screen, i.e. how constrained the neighborhood is;
+  graph (a boolean adjacency matrix) whose edge ``u -> v`` means
+  serving ``v`` directly after ``u`` is locally admissible (the
+  paper's §II.B criterion); its density is exactly the probability
+  that a random operator adjacency passes the screen, i.e. how
+  constrained the neighborhood is;
 * :func:`clustering_score` — nearest-neighbor statistics separating C
   from R geometries;
 * :func:`fleet_lower_bounds` — capacity and temporal lower bounds on
@@ -24,14 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.vrptw.instance import Instance
-
-# NOTE: repro.core imports repro.vrptw, so the edge-admissibility check
-# (the §II.B criterion this module analyzes) must be imported lazily
-# inside the functions that need it to avoid a package import cycle.
 
 __all__ = [
     "WindowStats",
@@ -81,29 +77,21 @@ def window_stats(instance: Instance) -> WindowStats:
     )
 
 
-def compatibility_graph(instance: Instance) -> nx.DiGraph:
+def compatibility_graph(instance: Instance) -> np.ndarray:
     """The directed temporal-compatibility graph over customers.
 
-    Edge ``u -> v`` iff ``a_u + c_u + t(u, v) <= b_v`` — serving ``v``
-    right after ``u`` passes the paper's local feasibility screen.
-    Node attributes carry coordinates and window bounds so the graph is
-    self-contained for downstream analysis.
+    A boolean ``(n_sites, n_sites)`` adjacency matrix: ``g[u, v]`` iff
+    ``a_u + c_u + t(u, v) <= b_v`` — serving ``v`` right after ``u``
+    passes the paper's local feasibility screen, computed with the same
+    float association as
+    :func:`~repro.core.operators.feasibility.edge_admissible`.  The
+    diagonal and the depot row and column (site 0) are False.
     """
-    from repro.core.operators.feasibility import edge_admissible
-
-    g = nx.DiGraph(instance=instance.name)
-    for c in range(1, instance.n_customers + 1):
-        g.add_node(
-            c,
-            x=float(instance.x[c]),
-            y=float(instance.y[c]),
-            ready=float(instance.ready_time[c]),
-            due=float(instance.due_date[c]),
-        )
-    for u in range(1, instance.n_customers + 1):
-        for v in range(1, instance.n_customers + 1):
-            if u != v and edge_admissible(instance, u, v):
-                g.add_edge(u, v)
+    depart = instance.ready_time + instance.service_time
+    g = depart[:, None] + instance.travel <= instance.due_date[None, :]
+    np.fill_diagonal(g, False)
+    g[0, :] = False
+    g[:, 0] = False
     return g
 
 
@@ -118,8 +106,7 @@ def compatibility_density(instance: Instance) -> float:
     n = instance.n_customers
     if n < 2:
         return 1.0
-    g = compatibility_graph(instance)
-    return g.number_of_edges() / (n * (n - 1))
+    return int(compatibility_graph(instance).sum()) / (n * (n - 1))
 
 
 def clustering_score(instance: Instance) -> float:
@@ -149,17 +136,14 @@ def fleet_lower_bounds(instance: Instance) -> dict[str, int]:
     capacity_bound = instance.min_vehicles_by_capacity
     g = compatibility_graph(instance)
     # u and v can share a vehicle (in some order) iff u->v or v->u.
-    incompatible = nx.Graph()
-    incompatible.add_nodes_from(g.nodes)
-    for u in g.nodes:
-        for v in g.nodes:
-            if u < v and not g.has_edge(u, v) and not g.has_edge(v, u):
-                incompatible.add_edge(u, v)
+    incompatible = ~(g | g.T)[1:, 1:]
+    np.fill_diagonal(incompatible, False)
     # Greedy clique on the incompatibility graph (valid lower bound;
-    # not necessarily maximum).
+    # not necessarily maximum), highest degree first, ties by customer.
+    degree = incompatible.sum(axis=1)
     clique: list[int] = []
-    for node in sorted(incompatible.nodes, key=lambda n: -incompatible.degree(n)):
-        if all(incompatible.has_edge(node, member) for member in clique):
+    for node in np.argsort(-degree, kind="stable").tolist():
+        if incompatible[node, clique].all():
             clique.append(node)
     return {"capacity": capacity_bound, "temporal": max(len(clique), 1)}
 

@@ -6,10 +6,10 @@ Three layers are under test (see DESIGN.md "delta evaluation"):
   materializing the child solution — bit-identical floats, because the
   search's tie-breaking (and therefore the whole trajectory) hangs on
   them — and must agree with the independent permutation oracle;
-* the whole sampling path (``FastRng`` + operator memos + prefix-sum
-  resume) must leave search trajectories unchanged: an eager
-  re-implementation of the sampler over the same seed selects the same
-  moves and computes the same objectives;
+* the whole sampling path (operator memos + prefix-sum resume) must
+  leave search trajectories unchanged: an eager re-implementation of
+  the sampler over the same seed selects the same moves and computes
+  the same objectives;
 * the :class:`RouteStatsCache` counters are a consistent observability
   surface and the LRU bound actually bounds.
 """
@@ -31,7 +31,6 @@ from repro.core.operators.segment_exchange import SegmentExchange
 from repro.core.operators.two_opt import TwoOpt
 from repro.core.operators.two_opt_star import TwoOptStar
 from repro.core.stats_cache import CacheStats, RouteStatsCache
-from repro.rng import FastRng
 from repro.tabu.neighborhood import sample_neighborhood
 from repro.tabu.params import TSMOParams
 from repro.tabu.search import run_sequential_tsmo
@@ -252,46 +251,3 @@ def test_parallel_results_expose_cache_stats(small_instance, quick_params):
         assert stats is not None, runner.__name__
         assert stats.hits > 0, runner.__name__
         assert stats.requests == stats.hits + stats.misses, runner.__name__
-
-
-# ----------------------------------------------------------------------
-# FastRng facade edge cases
-# ----------------------------------------------------------------------
-
-
-def test_fast_rng_delegates_for_non_pcg64():
-    from repro.rng import _DelegatingRng
-
-    gen = np.random.Generator(np.random.MT19937(5))
-    ref = np.random.Generator(np.random.MT19937(5))
-    fast = FastRng(gen)
-    assert type(fast) is _DelegatingRng
-    for _ in range(20):
-        assert fast.integers(0, 50) == int(ref.integers(0, 50))
-        assert fast.random() == float(ref.random())
-    fast.detach()  # no-op, must be safe
-
-
-def test_fast_rng_detach_round_trip():
-    a = np.random.default_rng(4242)
-    b = np.random.default_rng(4242)
-    fast = FastRng(a)
-    draws = [
-        fast.integers(0, 13),
-        fast.integers(1, 101),
-        fast.integers(0, 2**33),
-        fast.random(),
-        fast.integers(5, 6),
-    ]
-    expected = [
-        int(b.integers(0, 13)),
-        int(b.integers(1, 101)),
-        int(b.integers(0, 2**33)),
-        float(b.random()),
-        int(b.integers(5, 6)),
-    ]
-    assert draws == expected
-    fast.detach()
-    assert float(a.random()) == float(b.random())
-    assert int(a.integers(0, 1000)) == int(b.integers(0, 1000))
-    fast.detach()  # second detach is a documented no-op

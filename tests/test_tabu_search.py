@@ -244,6 +244,45 @@ class TestSequentialRun:
         assert trace.carryover_count == 0
 
 
+class TestAspiration:
+    def test_aspiration_admits_archive_improving_tabu_move(self):
+        """With every candidate tabu, plain TS restarts; aspiration may
+        still move if something would improve the archive."""
+        instance = generate_instance("R1", 25, seed=31)
+        base = dict(
+            max_evaluations=2000,
+            neighborhood_size=30,
+            tabu_tenure=100,
+            restart_after=50,
+        )
+        plain = TSMOEngine(instance, TSMOParams(**base), 7)
+        aspiring = TSMOEngine(instance, TSMOParams(**base, aspiration=True), 7)
+        for engine in (plain, aspiring):
+            engine.initialize()
+            neighbors = engine.generate_neighborhood()
+            for n in neighbors:
+                engine.memories.tabulist.push(n.move.attribute)
+            # Guarantee an archive-improving candidate exists.
+            engine.memories.archive.clear()
+            engine.select_and_update(neighbors)
+        assert plain.restarts == 1
+        assert aspiring.restarts == 0
+
+    def test_aspiration_run_completes(self):
+        instance = generate_instance("C2", 20, seed=3)
+        result = run_sequential_tsmo(
+            instance,
+            TSMOParams(
+                max_evaluations=600,
+                neighborhood_size=25,
+                restart_after=6,
+                aspiration=True,
+            ),
+            seed=2,
+        )
+        assert result.best_feasible() is not None
+
+
 class TestTrajectoryRecorder:
     def test_cap(self):
         rec = TrajectoryRecorder(max_neighbors=3)
