@@ -4,9 +4,9 @@ This package is the one instrumentation layer for the whole repro.
 Three orthogonal pieces, each with a null-object fast path so disabled
 instrumentation costs one attribute check:
 
-* :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges,
-  fixed-bucket histograms and monotonic timers, mergeable across
-  processes and serialized through checkpoints;
+* :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges and
+  fixed-bucket histograms, mergeable across processes and serialized
+  through checkpoints;
 * :class:`~repro.obs.events.EventTracer` — typed events into a bounded
   ring plus an optional append-only JSONL sink
   (:class:`~repro.obs.events.JsonlEventSink`), validated by
@@ -44,11 +44,7 @@ from repro.obs.events import (
     NullTracer,
     new_run_id,
 )
-from repro.obs.expo import (
-    histogram_delta,
-    quantile_from_histogram,
-    render_exposition,
-)
+from repro.obs.expo import quantile_from_histogram, render_exposition
 from repro.obs.profiler import (
     NULL_PROFILER,
     NullProfiler,
@@ -61,7 +57,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
-    Timer,
 )
 from repro.obs.stream import (
     EventBus,
@@ -98,9 +93,7 @@ __all__ = [
     "Subscription",
     "TERMINAL_JOB_STATES",
     "TailServer",
-    "Timer",
     "format_profile_table",
-    "histogram_delta",
     "is_terminal_job_event",
     "job_event_predicate",
     "new_run_id",

@@ -2,17 +2,16 @@
 
 :func:`render_exposition` turns :meth:`MetricsRegistry.snapshot`
 output into the text format scrapers (and humans) read: ``# TYPE``
-lines, counters/gauges as plain samples, histograms as cumulative
-``_bucket{le="..."}`` series with ``_sum``/``_count``, and timers as a
-``_seconds_total``/``_count``/``_max_seconds`` triple.  Dotted metric
+lines, counters/gauges as plain samples, and histograms as cumulative
+``_bucket{le="..."}`` series with ``_sum``/``_count``.  Dotted metric
 names become underscore-separated (``serve.job_latency_s`` →
 ``repro_serve_job_latency_s``).
 
 :func:`quantile_from_histogram` estimates quantiles from fixed-bucket
 counts by linear interpolation inside the containing bucket — the same
-estimate Prometheus's ``histogram_quantile`` makes, and the number the
-``--watch`` view and the soak SLO section report as p50/p95/p99.
-No external dependency; pure string assembly.
+estimate Prometheus's ``histogram_quantile`` makes, and the running
+p50/p99 the ``--watch`` view prints.  No external dependency; pure
+string assembly.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import re
 
 __all__ = [
-    "histogram_delta",
     "quantile_from_histogram",
     "render_exposition",
 ]
@@ -61,14 +59,6 @@ def render_exposition(snapshot: dict, *, prefix: str = "repro") -> str:
         lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
         lines.append(f"{metric}_sum {_fmt(hist['sum'])}")
         lines.append(f"{metric}_count {hist['count']}")
-    for name, timer in sorted(snapshot.get("timers", {}).items()):
-        metric = _metric_name(name, prefix)
-        lines.append(f"# TYPE {metric}_seconds_total counter")
-        lines.append(f"{metric}_seconds_total {_fmt(timer['seconds'])}")
-        lines.append(f"# TYPE {metric}_count counter")
-        lines.append(f"{metric}_count {timer['count']}")
-        lines.append(f"# TYPE {metric}_max_seconds gauge")
-        lines.append(f"{metric}_max_seconds {_fmt(timer['max'])}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -103,33 +93,3 @@ def quantile_from_histogram(
             return lower + (upper - lower) * min(1.0, max(0.0, fraction))
         cumulative += count
     return float(bounds[-1]) if bounds else None
-
-
-def histogram_delta(later: dict, earlier: dict | None) -> dict:
-    """The histogram ``later - earlier`` (same snapshot dict shape).
-
-    Used to trim a soak's warmup: quantiles over the *steady-state
-    window* come from the difference between the final histogram and
-    the one captured at the warmup cutoff.  Bounds must match;
-    ``earlier=None`` means "from the beginning".
-    """
-    if earlier is None:
-        return {
-            "bounds": list(later["bounds"]),
-            "counts": list(later["counts"]),
-            "sum": later["sum"],
-            "count": later["count"],
-        }
-    if list(later["bounds"]) != list(earlier["bounds"]):
-        from repro.errors import ObsError
-
-        raise ObsError(
-            f"cannot delta histograms with mismatched bounds: "
-            f"{tuple(later['bounds'])!r} vs {tuple(earlier['bounds'])!r}"
-        )
-    return {
-        "bounds": list(later["bounds"]),
-        "counts": [a - b for a, b in zip(later["counts"], earlier["counts"])],
-        "sum": later["sum"] - earlier["sum"],
-        "count": later["count"] - earlier["count"],
-    }

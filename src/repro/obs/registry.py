@@ -1,9 +1,9 @@
-"""The metrics registry: counters, gauges, histograms, timers.
+"""The metrics registry: counters, gauges, histograms.
 
 One :class:`MetricsRegistry` per run collects every numeric fact the
 search produces — iteration/restart counters, archive-size gauges,
-neighborhood-size histograms, per-segment timers — under dotted string
-names (``search.iterations``, ``cache.hits``, ``pool.crashes``).  The
+neighborhood-size histograms — under dotted string names
+(``search.iterations``, ``cache.hits``, ``pool.crashes``).  The
 registry is *process-safe by value*: it never shares mutable state
 across processes; workers snapshot their own registries (or raw
 counters) and ship the plain-dict :meth:`export_state` back over the
@@ -21,13 +21,13 @@ pays essentially nothing (asserted by the overhead microbenchmark in
 
 Histograms use *fixed* bucket boundaries chosen at creation (defaults
 in :data:`DEFAULT_BUCKETS`): fixed buckets make per-worker histograms
-mergeable by plain addition, which adaptive schemes are not.
+mergeable by plain addition, which adaptive schemes are not.  Wall
+time is measured in one place, :class:`~repro.obs.profiler.PhaseProfiler`.
 """
 
 from __future__ import annotations
 
 import bisect
-import time
 from dataclasses import dataclass, field
 
 from repro.errors import ObsError
@@ -37,7 +37,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "Timer",
 ]
 
 #: default histogram bucket upper bounds (an implicit +inf bucket is
@@ -79,42 +78,10 @@ class _Histogram:
         self.n += 1
 
 
-@dataclass(slots=True)
-class Timer:
-    """Accumulated monotonic wall time of one named segment."""
-
-    seconds: float = 0.0
-    count: int = 0
-    max: float = 0.0
-
-    def add(self, seconds: float) -> None:
-        self.seconds += seconds
-        self.count += 1
-        if seconds > self.max:
-            self.max = seconds
-
-
-class _TimerContext:
-    """``with registry.time("name"):`` — one monotonic measurement."""
-
-    __slots__ = ("_timer", "_t0")
-
-    def __init__(self, timer: Timer) -> None:
-        self._timer = timer
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._timer.add(time.perf_counter() - self._t0)
-
-
 class MetricsRegistry:
-    """Named counters, gauges, histograms and timers for one run."""
+    """Named counters, gauges and histograms for one run."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms", "_timers")
+    __slots__ = ("_counters", "_gauges", "_histograms")
 
     #: class attribute so the hot-loop guard (``if m.enabled:``) is a
     #: plain attribute lookup with no per-instance storage.
@@ -124,7 +91,6 @@ class MetricsRegistry:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, _Histogram] = {}
-        self._timers: dict[str, Timer] = {}
 
     # -- write side ----------------------------------------------------
     def inc(self, name: str, value: float = 1) -> None:
@@ -148,21 +114,6 @@ class MetricsRegistry:
         if hist is None:
             hist = self._histograms[name] = _Histogram(tuple(buckets))
         hist.observe(value)
-
-    def timer(self, name: str) -> Timer:
-        """The (auto-created) accumulator behind ``time(name)``."""
-        t = self._timers.get(name)
-        if t is None:
-            t = self._timers[name] = Timer()
-        return t
-
-    def time(self, name: str) -> _TimerContext:
-        """Context manager measuring one monotonic segment into ``name``."""
-        return _TimerContext(self.timer(name))
-
-    def add_time(self, name: str, seconds: float) -> None:
-        """Fold an externally measured duration into timer ``name``."""
-        self.timer(name).add(seconds)
 
     # -- read side -----------------------------------------------------
     def counter(self, name: str) -> float:
@@ -189,10 +140,6 @@ class MetricsRegistry:
                 }
                 for name, h in self._histograms.items()
             },
-            "timers": {
-                name: {"seconds": t.seconds, "count": t.count, "max": t.max}
-                for name, t in self._timers.items()
-            },
         }
 
     # -- persistence / cross-process merging ---------------------------
@@ -201,7 +148,9 @@ class MetricsRegistry:
         return self.snapshot()
 
     def restore_state(self, state: dict) -> None:
-        """Replace all series with a previously exported state."""
+        """Replace all series with a previously exported state (keys
+        other than the three series kinds, such as the ``"timers"`` of
+        older checkpoints, are ignored)."""
         self._counters = dict(state.get("counters", {}))
         self._gauges = dict(state.get("gauges", {}))
         self._histograms = {}
@@ -210,15 +159,11 @@ class MetricsRegistry:
             hist.total = h["sum"]
             hist.n = h["count"]
             self._histograms[name] = hist
-        self._timers = {
-            name: Timer(seconds=t["seconds"], count=t["count"], max=t["max"])
-            for name, t in state.get("timers", {}).items()
-        }
 
     def merge_state(self, state: dict) -> None:
         """Fold another registry's export into this one.
 
-        Counters, histograms and timers add; gauges take the incoming
+        Counters and histograms add; gauges take the incoming
         value (last writer wins — they are point-in-time readings).
         Histograms with mismatched boundaries raise
         :class:`~repro.errors.ObsError` naming both bucket sets rather
@@ -241,34 +186,12 @@ class MetricsRegistry:
             mine.counts = [a + b for a, b in zip(mine.counts, h["counts"])]
             mine.total += h["sum"]
             mine.n += h["count"]
-        for name, t in state.get("timers", {}).items():
-            mine = self.timer(name)
-            mine.seconds += t["seconds"]
-            mine.count += t["count"]
-            mine.max = max(mine.max, t["max"])
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, histograms={len(self._histograms)}, "
-            f"timers={len(self._timers)})"
+            f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
         )
-
-
-class _NullTimerContext:
-    """Shared, reusable no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimerContext":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_TIMER_CONTEXT = _NullTimerContext()
-_NULL_TIMER = Timer()
 
 
 class NullRegistry:
@@ -292,15 +215,6 @@ class NullRegistry:
     def observe(self, name, value, buckets=DEFAULT_BUCKETS) -> None:
         return None
 
-    def timer(self, name: str) -> Timer:
-        return _NULL_TIMER
-
-    def time(self, name: str) -> _NullTimerContext:
-        return _NULL_TIMER_CONTEXT
-
-    def add_time(self, name: str, seconds: float) -> None:
-        return None
-
     def counter(self, name: str) -> float:
         return 0
 
@@ -308,7 +222,7 @@ class NullRegistry:
         return None
 
     def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "timers": {}}
+        return {"counters": {}, "gauges": {}, "histograms": {}}
 
     def export_state(self) -> dict:
         return self.snapshot()

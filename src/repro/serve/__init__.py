@@ -9,8 +9,8 @@ with bounded admission (overload is rejected, never dropped), weighted
 deficit-round-robin fairness between tenants, per-job checkpointing
 through the standard snapshot format, and job-scoped observability.
 :mod:`repro.serve.traffic` drives it with a reproducible open-loop
-workload; ``python -m repro.serve`` runs that as the
-``BENCH_serve.json`` benchmark and smoke test.
+workload, bounded by job count, by duration or by both;
+``python -m repro.serve`` runs that as a load test and smoke test.
 
 The service also carries a live telemetry plane: every scheduler owns
 an :class:`~repro.obs.stream.EventBus`, so clients can
@@ -18,10 +18,10 @@ an :class:`~repro.obs.stream.EventBus`, so clients can
 :meth:`~SolveScheduler.tail_all` everything, including periodic
 ``metrics_snapshot`` readings), worker events join their job's trace
 via the span-propagation envelope (``python -m repro.obs.spans``
-reconstructs per-job trees), and :func:`run_soak` holds a fixed
-arrival rate for a fixed duration to measure warmup-trimmed
-steady-state SLOs (``python -m repro.serve --soak``, watchable live
-with ``--watch``).
+reconstructs per-job trees), and a duration-bounded
+:func:`run_traffic` holds a fixed arrival rate to measure exact,
+warmup-trimmed steady-state latency quantiles
+(``python -m repro.serve --soak``, watchable live with ``--watch``).
 
 The service is fault tolerant end to end: a durable job ledger
 (:class:`JobLedger`) makes the scheduler supervised — a restart over
@@ -50,15 +50,7 @@ from repro.serve.chaos import ChaosReport, ServeFaultPlan, run_chaos_soak, tear_
 from repro.serve.job import DRIVERS, Job, JobSpec, JobState
 from repro.serve.ledger import JobLedger
 from repro.serve.scheduler import DeficitRoundRobin, ServeParams, SolveScheduler
-from repro.serve.traffic import (
-    SoakConfig,
-    SoakReport,
-    TrafficConfig,
-    TrafficReport,
-    run_soak,
-    run_traffic,
-    write_report,
-)
+from repro.serve.traffic import TrafficConfig, TrafficReport, run_traffic, write_report
 
 __all__ = [
     "ChaosReport",
@@ -70,13 +62,10 @@ __all__ = [
     "JobState",
     "ServeFaultPlan",
     "ServeParams",
-    "SoakConfig",
-    "SoakReport",
     "SolveScheduler",
     "TrafficConfig",
     "TrafficReport",
     "run_chaos_soak",
-    "run_soak",
     "run_traffic",
     "tear_checkpoint",
     "write_report",

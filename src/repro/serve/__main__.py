@@ -1,15 +1,28 @@
-"""``python -m repro.serve`` — the traffic-generator benchmark.
+"""``python -m repro.serve`` — the open-loop load test for the solve service.
 
 Runs a reproducible open-loop workload against a fresh scheduler and
-prints (and optionally writes) the service-level numbers; with
-``--smoke`` it exits non-zero unless the exactly-once audit holds —
-this is the command the CI ``serve`` job runs.
+prints (and optionally writes, with ``--out``) the service-level
+numbers: throughput, exact per-job latency and queue-wait quantiles,
+and peaks over the live snapshot stream.  With ``--smoke`` it exits
+non-zero unless the exactly-once audit holds — this is the command the
+CI ``serve`` job runs.
 
 Example::
 
     PYTHONPATH=src python -m repro.serve --jobs 60 --rate 500 \\
         --workers 2 --budget 96 --neighborhood 16 \\
-        --tenants acme:3,globex:1 --out BENCH_serve.json --smoke
+        --tenants acme:3,globex:1 --out serve.json --smoke
+
+``--soak SECONDS`` bounds the same workload by duration instead of job
+count: the arrival rate is held for that long, and jobs finishing in
+the first ``--warmup`` seconds are left out of the quantiles.
+``--watch`` (usable with any mode that runs a local scheduler) tails
+the live telemetry bus and prints one status line per
+``metrics_snapshot`` — jobs in flight, queue depth, DRR deficits and
+running latency quantiles — without perturbing the run::
+
+    PYTHONPATH=src python -m repro.serve --soak 30 --warmup 5 \\
+        --rate 10 --workers 2 --watch --out soak.json --smoke
 
 ``--chaos`` switches to the deterministic chaos soak instead: the same
 jobs are driven through seeded worker kills, a scheduler
@@ -17,23 +30,11 @@ kill-and-restart (with ledger recovery), torn checkpoints and injected
 crashes, and the run must still conserve every job::
 
     PYTHONPATH=src python -m repro.serve --chaos --jobs 60 \\
-        --checkpoint-dir /tmp/serve-chaos --out BENCH_chaos.json --smoke
+        --checkpoint-dir /tmp/serve-chaos --out chaos.json --smoke
 
 ``--faults`` (or ``REPRO_SERVE_FAULTS``) overrides the seeded schedule
 with an explicit one, e.g.
 ``kill-worker:0@3,stall:12:0.05,kill-scheduler:20,tear:chaos-00021``.
-
-``--soak SECONDS`` switches to the sustained-load soak: instead of a
-fixed job count, a fixed arrival rate is held for the duration and the
-report is the *steady-state* SLO section (warmup-trimmed p50/p95/p99,
-max backlog, event-drop counters), folded into ``--out`` under a
-``"soak"`` key.  ``--watch`` (usable with any mode that runs a local
-scheduler) tails the live telemetry bus and prints one status line per
-``metrics_snapshot`` — jobs in flight, queue depth, DRR deficits and
-running latency quantiles — without perturbing the run::
-
-    PYTHONPATH=src python -m repro.serve --soak 30 --warmup 5 \\
-        --rate 10 --workers 2 --watch --out BENCH_serve.json --smoke
 
 ``--instances CLASS:SIZE[:SEED],...`` makes the workload
 multi-instance: every generated instance rides its job's spec as a
@@ -64,13 +65,7 @@ from repro.obs.expo import quantile_from_histogram, render_exposition
 from repro.obs.timeutil import utc_timestamp
 from repro.serve.chaos import ServeFaultPlan, run_chaos_soak
 from repro.serve.scheduler import ServeParams, SolveScheduler
-from repro.serve.traffic import (
-    SoakConfig,
-    TrafficConfig,
-    run_soak,
-    run_traffic,
-    write_report,
-)
+from repro.serve.traffic import TrafficConfig, run_traffic, write_report
 from repro.vrptw.generator import generate_instance
 
 
@@ -129,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve", description=__doc__.split("\n")[0]
     )
-    parser.add_argument("--jobs", type=int, default=50, help="jobs to submit")
+    parser.add_argument(
+        "--jobs", type=int, default=50, help="jobs to submit (ignored with --soak)"
+    )
     parser.add_argument(
         "--rate", type=float, default=500.0, help="mean arrivals/second (<=0: burst)"
     )
@@ -161,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--instance-size", type=int, default=20)
     parser.add_argument("--instance-seed", type=int, default=55)
-    parser.add_argument("--out", default=None, help="write BENCH_serve.json here")
+    parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument(
         "--smoke",
         action="store_true",
@@ -194,15 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="run the sustained-load soak for this many seconds instead "
-        "of a fixed job count (uses --rate as the sustained arrival rate)",
+        help="offer arrivals for this many seconds instead of a fixed "
+        "job count (uses --rate as the sustained arrival rate)",
     )
     parser.add_argument(
         "--warmup",
         type=float,
-        default=2.0,
-        help="seconds trimmed from the front of the soak before the "
-        "steady-state SLO window opens",
+        default=0.0,
+        help="leave jobs finishing in the first SECONDS of the run out of "
+        "the latency quantiles",
     )
     parser.add_argument(
         "--watch",
@@ -436,99 +433,12 @@ async def _run_chaos(args) -> int:
     return 0
 
 
-async def _run_soak(args) -> int:
-    instance = _default_instance(args)
-    config = SoakConfig(
-        duration_s=args.soak,
-        warmup_s=args.warmup,
-        rate=args.rate if args.rate > 0 else 10.0,
-        seed=args.seed,
-        budget=args.budget,
-        neighborhood=args.neighborhood,
-        tenants=args.tenants,
-        driver=args.driver,
-        n_tasks=args.n_tasks,
-    )
-    params = ServeParams(max_active=args.max_active, max_queued=args.max_queued)
-    async with SolveScheduler(
-        instance,
-        n_workers=args.workers,
-        params=params,
-        tenant_weights=dict(args.tenants),
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        tail_port=args.tail_port,
-    ) as scheduler:
-        await _announce_tail(scheduler, args.tail_port is not None)
-        async with _watching(scheduler, args.watch):
-            report = await run_soak(
-                scheduler, config, instances=args.instances or ()
-            )
-        pool_report = scheduler.report().get("pool", {})
-        if args.expo:
-            _write_expo(args.expo, scheduler)
-    steady = report.steady_latency_s
-    print(
-        f"serve-soak: {report.completed}/{report.accepted} jobs completed "
-        f"({report.rejected} rejected, {report.cancelled} cancelled, "
-        f"{report.failed} failed) over {report.duration_s:.0f}s "
-        f"@ {report.rate:.1f} jobs/s"
-    )
-    print(
-        f"serve-soak: steady-state latency p50={_fmt_ms(steady['p50'])} "
-        f"p95={_fmt_ms(steady['p95'])} p99={_fmt_ms(steady['p99'])} "
-        f"(n={steady['count']}, warmup {report.warmup_s:.0f}s trimmed)"
-    )
-    print(
-        f"serve-soak: max_backlog={report.max_backlog} "
-        f"max_queue_depth={report.max_queue_depth} "
-        f"max_active={report.max_active} snapshots={report.snapshots} "
-        f"dropped_events={report.dropped_events}"
-    )
-    if args.out:
-        try:
-            with open(args.out, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            payload = {"bench": "serve"}
-        payload["written_at"] = utc_timestamp()
-        payload["soak"] = {
-            "config": {
-                "duration_s": config.duration_s,
-                "warmup_s": config.warmup_s,
-                "rate": config.rate,
-                "seed": config.seed,
-                "budget": config.budget,
-                "neighborhood": config.neighborhood,
-                "driver": config.driver,
-                "n_workers": args.workers,
-                "instances": [
-                    inst.name for inst in (args.instances or (instance,))
-                ],
-            },
-            "report": report.to_dict(),
-            "pool": pool_report,
-        }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, default=str)
-            handle.write("\n")
-        print(f"serve-soak: wrote {args.out}")
-    if args.smoke and not report.conserved():
-        print(
-            "serve-soak: SMOKE FAILURE — conservation audit failed: "
-            f"lost={report.lost} accepted={report.accepted} "
-            f"completed={report.completed} cancelled={report.cancelled} "
-            f"failed={report.failed}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 async def _run(args) -> int:
     instance = _default_instance(args)
     config = TrafficConfig(
-        n_jobs=args.jobs,
+        n_jobs=args.jobs if args.soak is None else None,
+        duration_s=args.soak,
+        warmup_s=args.warmup,
         rate=args.rate,
         seed=args.seed,
         budget=args.budget,
@@ -556,6 +466,7 @@ async def _run(args) -> int:
         pool_report = scheduler.report().get("pool", {})
         if args.expo:
             _write_expo(args.expo, scheduler)
+    latency, wait = report.latency_s, report.queue_wait_s
     print(
         f"serve: {report.completed}/{report.accepted} jobs completed "
         f"({report.rejected} rejected, {report.cancelled} cancelled, "
@@ -563,9 +474,16 @@ async def _run(args) -> int:
         f"= {report.jobs_per_sec:.1f} jobs/s"
     )
     print(
-        f"serve: latency p50={_fmt_ms(report.latency_s['p50'])} "
-        f"p99={_fmt_ms(report.latency_s['p99'])}, "
-        f"peak_active={report.peak_active}, "
+        f"serve: latency p50={_fmt_ms(latency['p50'])} "
+        f"p95={_fmt_ms(latency['p95'])} p99={_fmt_ms(latency['p99'])}, "
+        f"queue wait p50={_fmt_ms(wait['p50'])} p99={_fmt_ms(wait['p99'])} "
+        f"(exact, warmup {config.warmup_s:g}s trimmed)"
+    )
+    print(
+        f"serve: peak_active={report.peak_active} "
+        f"max_backlog={report.max_backlog} "
+        f"max_queue_depth={report.max_queue_depth} "
+        f"snapshots={report.snapshots} dropped_events={report.dropped_events}, "
         f"pool tasks={pool_report.get('tasks_completed', 0)} "
         f"retries={pool_report.get('retries', 0)}"
     )
@@ -574,14 +492,20 @@ async def _run(args) -> int:
             report,
             args.out,
             config=config,
-            extra={"n_workers": args.workers, "pool": pool_report},
+            extra={
+                "n_workers": args.workers,
+                "instances": [inst.name for inst in args.instances or (instance,)],
+                "pool": pool_report,
+            },
         )
         print(f"serve: wrote {args.out}")
     if args.smoke and not report.conserved():
         print(
             "serve: SMOKE FAILURE — conservation audit failed: "
             f"lost={report.lost} duplicates={report.duplicates} "
-            f"short_of_budget={report.short_of_budget}",
+            f"short_of_budget={report.short_of_budget} "
+            f"accepted={report.accepted} completed={report.completed} "
+            f"cancelled={report.cancelled} failed={report.failed}",
             file=sys.stderr,
         )
         return 1
@@ -594,8 +518,6 @@ def main(argv=None) -> int:
         return asyncio.run(_run_connect(args))
     if args.chaos:
         return asyncio.run(_run_chaos(args))
-    if args.soak is not None:
-        return asyncio.run(_run_soak(args))
     return asyncio.run(_run(args))
 
 

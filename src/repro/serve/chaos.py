@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import JobCancelled, ServeError
+from repro.errors import ServeError
 from repro.obs import NULL_OBS
 from repro.parallel.pool import FaultPlan
 from repro.serve.job import JobSpec
@@ -38,7 +38,7 @@ from repro.serve.ledger import LEDGER_FILENAME, JobLedger
 from repro.serve.scheduler import ServeParams, SolveScheduler
 from repro.serve.traffic import TrafficReport
 from repro.tabu.params import TSMOParams
-from repro.tabu.search import run_sequential_tsmo
+from repro.tabu.search import TSMOResult, run_sequential_tsmo
 
 __all__ = ["ChaosReport", "ServeFaultPlan", "run_chaos_soak", "tear_checkpoint"]
 
@@ -255,7 +255,7 @@ async def run_chaos_soak(
     lockstep front bit-identical to an uninterrupted sequential run.
 
     ``instances`` (optional) round-robins per-job instance payloads
-    into the specs, exactly as in the traffic generators; each
+    into the specs, exactly as in the traffic generator; each
     completed job is then verified against the sequential oracle on
     *its own* instance, and a kill-and-restart proves recovery rebuilds
     per-job instances from the ledger rather than the constructor.
@@ -293,7 +293,8 @@ async def run_chaos_soak(
 
     loop = asyncio.get_running_loop()
     t0 = loop.time()
-    outcomes: dict[str, tuple[str, object]] = {}
+    # Each terminal job's raw outcome: its result or its exception.
+    outcomes: dict[str, object] = {}
     kills = sorted(plan.scheduler_kills)
     tears_pending = set(plan.tears)
     tears_applied = 0
@@ -361,12 +362,7 @@ async def run_chaos_soak(
             if future.cancelled():
                 continue
             exc = future.exception()
-            if exc is None:
-                outcomes[jid] = ("completed", future.result())
-            elif isinstance(exc, JobCancelled):
-                outcomes[jid] = ("cancelled", None)
-            else:
-                outcomes[jid] = ("failed", repr(exc))
+            outcomes[jid] = exc if exc is not None else future.result()
         report = scheduler.report()
         peak_active = max(peak_active, report["peak_active"])
         for key in agg:
@@ -391,28 +387,16 @@ async def run_chaos_soak(
         else:
             await scheduler.close()
 
-    makespan = loop.time() - t0
-    results = [res for kind, res in outcomes.values() if kind == "completed"]
-    completed = len(results)
-    cancelled = sum(1 for kind, _ in outcomes.values() if kind == "cancelled")
-    failed = sum(1 for kind, _ in outcomes.values() if kind == "failed")
-    traffic = TrafficReport(
-        n_jobs=len(specs),
-        accepted=len(specs),
+    # Handles do not survive a scheduler kill, so no job carries
+    # timings: the latency quantiles read None (no measurement).
+    traffic = TrafficReport.audit(
+        [(None, outcomes.get(spec.job_id)) for spec in specs],
+        budget=budget,
+        submitted=len(specs),
         rejected=0,
-        completed=completed,
-        cancelled=cancelled,
-        failed=failed,
-        lost=len(specs) - len(outcomes),
-        duplicates=completed
-        - len({r.extra.get("job_id") for r in results}),
-        short_of_budget=sum(1 for r in results if r.evaluations < budget),
-        makespan_s=makespan,
-        jobs_per_sec=completed / makespan if makespan > 0 else 0.0,
+        makespan_s=loop.time() - t0,
         peak_active=peak_active,
-        job_retries=agg["job_retries"],
-        preemptions=agg["preemptions"],
-        recovered_jobs=agg["recovered_jobs"],
+        **agg,
     )
 
     verified = 0
@@ -420,9 +404,9 @@ async def run_chaos_soak(
     if verify_bit_identity:
         bit_identical = True
         by_id = {spec.job_id: spec for spec in specs}
-        for jid, (kind, result) in outcomes.items():
+        for jid, result in outcomes.items():
             spec = by_id[jid]
-            if kind != "completed" or spec.driver != "lockstep":
+            if not isinstance(result, TSMOResult) or spec.driver != "lockstep":
                 continue
             own = spec.instance if spec.instance is not None else instance
             oracle = run_sequential_tsmo(own, spec.params, seed=spec.seed)

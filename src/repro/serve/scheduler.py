@@ -777,12 +777,7 @@ class SolveScheduler:
             wrapped.__cause__ = exc
             for job in list(self._jobs.values()):
                 if not job._future.done():
-                    job._fail(wrapped)
-                    self.failed += 1
-                    self._record(
-                        job, "failed", cause=repr(wrapped), attempts=job.attempts + 1
-                    )
-            self._active.clear()
+                    self._fail_job(job, wrapped)
 
     def _route(self, events) -> None:
         for event in events:

@@ -3,40 +3,40 @@
 :func:`run_traffic` plays a deterministic Poisson arrival process of
 solve jobs against a running :class:`~repro.serve.SolveScheduler` —
 *open loop*: arrivals never wait for completions, so overload actually
-overloads (the service must reject, not slow the generator down).  The
-resulting :class:`TrafficReport` carries the service-level numbers the
-``BENCH_serve.json`` artifact records — sustained jobs/sec, latency
-and queue-wait quantiles — plus the conservation audit the smoke test
-asserts on: every accepted job reaches exactly one terminal state
-(``lost == 0``), no result is delivered twice (``duplicates == 0``)
-and every completed job consumed its full budget
+overloads (the service must reject, not slow the generator down).
+Arrivals stop after ``n_jobs`` submissions, after ``duration_s``
+seconds, or at whichever of the two comes first.  The resulting
+:class:`TrafficReport` carries the service-level numbers — sustained
+jobs/sec, exact per-job latency and queue-wait quantiles (jobs
+finishing inside the ``warmup_s`` window left out), peaks over the
+live ``metrics_snapshot`` stream — plus the conservation audit the
+smoke tests assert on: every accepted job reaches exactly one terminal
+state (``lost == 0``), no result is delivered twice
+(``duplicates == 0``) and every completed job consumed its full budget
 (``short_of_budget == 0``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import time
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.errors import AdmissionError, JobCancelled, ServeError
-from repro.obs.expo import histogram_delta, quantile_from_histogram
 from repro.obs.timeutil import utc_timestamp
 from repro.serve.job import JobSpec
 from repro.tabu.params import TSMOParams
 from repro.tabu.search import TSMOResult
 
 __all__ = [
-    "SoakConfig",
-    "SoakReport",
     "TrafficConfig",
     "TrafficReport",
-    "run_soak",
     "run_traffic",
     "write_report",
 ]
@@ -45,9 +45,19 @@ __all__ = [
 @dataclass(frozen=True, slots=True)
 class TrafficConfig:
     """One reproducible traffic pattern (arrivals are a pure function
-    of ``seed``)."""
+    of ``seed``).
 
-    n_jobs: int = 50
+    Set ``n_jobs``, ``duration_s`` or both; arrivals stop at whichever
+    bound is reached first.
+    """
+
+    #: arrivals to offer (None: bounded by ``duration_s`` alone).
+    n_jobs: int | None = 50
+    #: seconds to keep offering arrivals (None: bounded by ``n_jobs``).
+    duration_s: float | None = None
+    #: jobs finishing within this many seconds of the start are left
+    #: out of the latency quantiles (cold caches, worker spawn).
+    warmup_s: float = 0.0
     #: mean arrival rate, jobs/second (exponential gaps); <= 0 means
     #: all jobs arrive at once (burst).
     rate: float = 500.0
@@ -62,12 +72,23 @@ class TrafficConfig:
     #: cancel every k-th accepted job right after submission (0: never).
     cancel_every: int = 0
 
+    def __post_init__(self) -> None:
+        if self.n_jobs is None and self.duration_s is None:
+            raise ServeError("traffic needs n_jobs, duration_s or both")
+        if self.rate <= 0 and self.n_jobs is None:
+            raise ServeError("a burst (rate <= 0) needs n_jobs")
+        if self.warmup_s < 0 or (
+            self.duration_s is not None and self.warmup_s >= self.duration_s
+        ):
+            raise ServeError("warmup must be >= 0 and shorter than the duration")
+
 
 @dataclass
 class TrafficReport:
     """What one traffic run measured."""
 
-    n_jobs: int
+    #: arrivals offered to the scheduler (accepted + rejected).
+    submitted: int
     accepted: int
     rejected: int
     completed: int
@@ -82,12 +103,62 @@ class TrafficReport:
     makespan_s: float
     jobs_per_sec: float
     peak_active: int
-    latency_s: dict = field(default_factory=dict)
-    queue_wait_s: dict = field(default_factory=dict)
+    #: exact quantiles over completed jobs finishing after the warm-up.
+    latency_s: dict
+    queue_wait_s: dict
     # Fault-tolerance counters (how much healing the run needed).
     job_retries: int = 0
     preemptions: int = 0
     recovered_jobs: int = 0
+    #: live metrics_snapshot events seen, and the peaks over them.
+    snapshots: int = 0
+    max_backlog: int = 0
+    max_queue_depth: int = 0
+    #: events lost to slow tail subscribers (bus drop counters).
+    dropped_events: int = 0
+
+    @classmethod
+    def audit(
+        cls, outcomes, *, budget: int, since: float = float("-inf"), **fields
+    ) -> "TrafficReport":
+        """Classify every accepted job's raw outcome into a report.
+
+        ``outcomes`` pairs each accepted job's handle with what waiting
+        on it produced: a result, an exception, or ``None`` for a job
+        that never reached a terminal state (counted lost).  A handle of
+        ``None`` carries no timings, so its latency goes unmeasured.
+        Completed jobs finishing before ``since`` (a ``time.monotonic``
+        stamp) are left out of the quantiles.  ``fields`` supplies the
+        rest of the report.
+        """
+        results, latencies, waits = [], [], []
+        cancelled = failed = 0
+        for job, outcome in outcomes:
+            if isinstance(outcome, TSMOResult):
+                results.append(outcome)
+                if job is not None and job.finished_at >= since:
+                    latencies.append(job.finished_at - job.submitted_at)
+                    if job.started_at is not None:
+                        waits.append(job.started_at - job.submitted_at)
+            elif isinstance(outcome, JobCancelled):
+                cancelled += 1
+            elif isinstance(outcome, BaseException):
+                failed += 1
+        completed = len(results)
+        makespan = fields["makespan_s"]
+        return cls(
+            accepted=len(outcomes),
+            completed=completed,
+            cancelled=cancelled,
+            failed=failed,
+            lost=len(outcomes) - completed - cancelled - failed,
+            duplicates=completed - len({r.extra.get("job_id") for r in results}),
+            short_of_budget=sum(1 for r in results if r.evaluations < budget),
+            jobs_per_sec=completed / makespan if makespan > 0 else 0.0,
+            latency_s=_quantiles(latencies),
+            queue_wait_s=_quantiles(waits),
+            **fields,
+        )
 
     def conserved(self) -> bool:
         """The exactly-once audit: nothing lost, nothing duplicated,
@@ -128,319 +199,87 @@ async def run_traffic(
     ``instances`` (optional) is a sequence of
     :class:`~repro.vrptw.instance.Instance` objects assigned to jobs
     round-robin as per-job payloads — the mixed-instance mode; empty
-    means every job solves the scheduler's default instance.
+    means every job solves the scheduler's default instance.  Live
+    ``metrics_snapshot`` events are read off the scheduler's own
+    telemetry bus while the run lasts, so a run also exercises the
+    streaming plane end to end.
     """
     rng = np.random.default_rng(config.seed)
     mix = tuple(instances)
-    if config.rate > 0:
-        gaps = rng.exponential(1.0 / config.rate, size=config.n_jobs)
-    else:
-        gaps = np.zeros(config.n_jobs)
     tenants = list(config.tenants)
     params = TSMOParams(
         max_evaluations=config.budget, neighborhood_size=config.neighborhood
     )
+    # (pool_backlog, jobs_queued) per live snapshot.
+    samples: list[tuple[int, int]] = []
+
+    async def watch() -> None:
+        async for event in scheduler.tail_all():
+            if event.get("type") == "metrics_snapshot":
+                snap = event["snapshot"]
+                samples.append((snap["pool_backlog"], snap["jobs_queued"]))
+
+    watcher = asyncio.ensure_future(watch())
     loop = asyncio.get_running_loop()
     start = loop.time()
+    since = time.monotonic() + config.warmup_s
+    deadline = None if config.duration_s is None else start + config.duration_s
     jobs = []
-    rejected = 0
-    for i in range(config.n_jobs):
-        if gaps[i] > 0:
-            await asyncio.sleep(float(gaps[i]))
-        tenant = tenants[i % len(tenants)][0]
-        spec = JobSpec(
-            job_id=f"job-{i:05d}",
-            tenant=tenant,
-            seed=config.seed * 1_000_003 + i,
-            params=params,
-            driver=config.driver,
-            n_tasks=config.n_tasks,
-            instance=mix[i % len(mix)] if mix else None,
+    submitted = rejected = 0
+    try:
+        while config.n_jobs is None or submitted < config.n_jobs:
+            if config.rate > 0:
+                await asyncio.sleep(float(rng.exponential(1.0 / config.rate)))
+            if deadline is not None and loop.time() >= deadline:
+                break
+            i = submitted
+            submitted += 1
+            spec = JobSpec(
+                job_id=f"job-{i:05d}",
+                tenant=tenants[i % len(tenants)][0],
+                seed=config.seed * 1_000_003 + i,
+                params=params,
+                driver=config.driver,
+                n_tasks=config.n_tasks,
+                instance=mix[i % len(mix)] if mix else None,
+            )
+            try:
+                job = scheduler.submit(spec)
+            except AdmissionError:
+                rejected += 1
+                continue
+            except ServeError as exc:
+                if "duplicate job id" not in str(exc):
+                    raise
+                # The scheduler recovered this job from its ledger before
+                # the generator re-offered it: adopt the live handle so
+                # the conservation audit still sees one outcome per id.
+                job = scheduler.get_job(spec.job_id)
+            jobs.append(job)
+            if config.cancel_every and len(jobs) % config.cancel_every == 0:
+                scheduler.cancel(job.job_id)
+        outcomes = await asyncio.gather(
+            *(job.wait() for job in jobs), return_exceptions=True
         )
-        try:
-            job = scheduler.submit(spec)
-        except AdmissionError:
-            rejected += 1
-            continue
-        except ServeError as exc:
-            if "duplicate job id" not in str(exc):
-                raise
-            # The scheduler recovered this job from its ledger before
-            # the generator re-offered it: adopt the live handle so the
-            # conservation audit still sees exactly one outcome per id.
-            job = scheduler.get_job(spec.job_id)
-        jobs.append(job)
-        if config.cancel_every and len(jobs) % config.cancel_every == 0:
-            scheduler.cancel(job.job_id)
-    outcomes = await asyncio.gather(
-        *(job.wait() for job in jobs), return_exceptions=True
-    )
-    makespan = loop.time() - start
-
-    completed_jobs = []
-    results = []
-    cancelled = failed = 0
-    for job, outcome in zip(jobs, outcomes):
-        if isinstance(outcome, TSMOResult):
-            completed_jobs.append(job)
-            results.append(outcome)
-        elif isinstance(outcome, JobCancelled):
-            cancelled += 1
-        elif isinstance(outcome, BaseException):
-            failed += 1
-    completed = len(results)
-    lost = len(jobs) - completed - cancelled - failed
-    duplicates = completed - len({r.extra.get("job_id") for r in results})
-    short = sum(1 for r in results if r.evaluations < config.budget)
-    latencies = [j.finished_at - j.submitted_at for j in completed_jobs]
-    waits = [
-        j.started_at - j.submitted_at
-        for j in completed_jobs
-        if j.started_at is not None
-    ]
-    return TrafficReport(
-        n_jobs=config.n_jobs,
-        accepted=len(jobs),
+        makespan = loop.time() - start
+    finally:
+        watcher.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await watcher
+    return TrafficReport.audit(
+        list(zip(jobs, outcomes)),
+        budget=config.budget,
+        since=since,
+        submitted=submitted,
         rejected=rejected,
-        completed=completed,
-        cancelled=cancelled,
-        failed=failed,
-        lost=lost,
-        duplicates=duplicates,
-        short_of_budget=short,
         makespan_s=makespan,
-        jobs_per_sec=completed / makespan if makespan > 0 else 0.0,
         peak_active=scheduler.peak_active,
-        latency_s=_quantiles(latencies),
-        queue_wait_s=_quantiles(waits),
         job_retries=scheduler.job_retries,
         preemptions=scheduler.preemptions,
         recovered_jobs=scheduler.recovered_jobs,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sustained-load soak: duration-shaped, steady-state SLO measurement
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class SoakConfig:
-    """One reproducible sustained-load soak.
-
-    Unlike :class:`TrafficConfig` (a fixed *number* of jobs, however
-    long they take) a soak holds a fixed arrival *rate* for a fixed
-    *duration* and reports steady-state behavior: everything completing
-    before ``warmup_s`` is trimmed, so cold caches and worker spawn
-    don't pollute the SLO numbers.
-    """
-
-    duration_s: float = 10.0
-    warmup_s: float = 2.0
-    #: mean arrival rate, jobs/second (exponential gaps; must be > 0 —
-    #: a soak without sustained arrivals is just a burst).
-    rate: float = 10.0
-    seed: int = 0
-    budget: int = 48
-    neighborhood: int = 8
-    tenants: tuple = (("acme", 1.0), ("globex", 1.0))
-    driver: str = "lockstep"
-    n_tasks: int = 1
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ServeError("soak rate must be positive (jobs/second)")
-        if self.duration_s <= 0:
-            raise ServeError("soak duration must be positive")
-        if not 0 <= self.warmup_s < self.duration_s:
-            raise ServeError("warmup must be >= 0 and shorter than the soak")
-
-
-@dataclass
-class SoakReport:
-    """What one sustained-load soak measured."""
-
-    duration_s: float
-    warmup_s: float
-    rate: float
-    submitted: int
-    accepted: int
-    rejected: int
-    completed: int
-    cancelled: int
-    failed: int
-    lost: int
-    #: warmup-trimmed quantiles from the mergeable latency histograms
-    #: (the difference between the final histogram and the one sampled
-    #: at the warmup cutoff — exactly what a scraper would compute).
-    steady_latency_s: dict = field(default_factory=dict)
-    steady_queue_wait_s: dict = field(default_factory=dict)
-    #: exact per-job quantiles over jobs finishing after the cutoff
-    #: (the cross-check on the histogram estimates).
-    exact_latency_s: dict = field(default_factory=dict)
-    #: peaks over the live metrics_snapshot series.
-    max_backlog: int = 0
-    max_queue_depth: int = 0
-    max_active: int = 0
-    #: live snapshots observed on the telemetry bus during the soak.
-    snapshots: int = 0
-    #: events lost to slow tail subscribers (bus drop counters).
-    dropped_events: int = 0
-
-    def conserved(self) -> bool:
-        return (
-            self.lost == 0
-            and self.completed + self.cancelled + self.failed == self.accepted
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _histogram_quantiles(hist: dict | None) -> dict:
-    # An empty (or all-zero-count steady-state window) histogram has no
-    # quantiles: report None, never 0.0 — coercing with ``or 0.0`` used
-    # to turn "nothing finished in the window" into a fake 0ms p99.
-    if hist is None or hist.get("count", 0) <= 0:
-        return {"p50": None, "p95": None, "p99": None, "count": 0}
-    out = {}
-    for label, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-        value = quantile_from_histogram(hist["bounds"], hist["counts"], q)
-        out[label] = float(value) if value is not None else None
-    out["count"] = hist["count"]
-    return out
-
-
-def _latency_histograms(scheduler) -> dict:
-    hists = scheduler.obs.metrics.snapshot().get("histograms", {})
-    return {
-        "latency": hists.get("serve.job_latency_s"),
-        "queue_wait": hists.get("serve.job_queue_wait_s"),
-    }
-
-
-async def run_soak(
-    scheduler, config: SoakConfig, *, instances: tuple = ()
-) -> SoakReport:
-    """Hold ``config.rate`` against a started scheduler for
-    ``config.duration_s`` seconds, then drain and report steady state.
-
-    The steady-state window opens at the warmup cutoff and closes when
-    the last accepted job finishes (jobs still draining after the
-    submission window count — they completed under sustained load).
-    Live ``metrics_snapshot`` events are consumed off the scheduler's
-    own telemetry bus, so a soak also exercises the streaming plane
-    end to end.  ``instances`` round-robins per-job instance payloads
-    exactly as in :func:`run_traffic` (the mixed-instance soak).
-    """
-    rng = np.random.default_rng(config.seed)
-    mix = tuple(instances)
-    tenants = list(config.tenants)
-    params = TSMOParams(
-        max_evaluations=config.budget, neighborhood_size=config.neighborhood
-    )
-    loop = asyncio.get_running_loop()
-    start = loop.time()
-    warmup_at = start + config.warmup_s
-    deadline = start + config.duration_s
-
-    snapshots: list[dict] = []
-
-    async def collect() -> None:
-        async for event in scheduler.tail_all():
-            if event.get("type") == "metrics_snapshot":
-                snapshots.append(event["snapshot"])
-
-    collector = asyncio.ensure_future(collect())
-
-    jobs = []
-    submitted = rejected = 0
-    warmup_marks: dict | None = None
-    warmup_mono: float | None = None
-    i = 0
-    while True:
-        await asyncio.sleep(float(rng.exponential(1.0 / config.rate)))
-        now = loop.time()
-        if warmup_marks is None and now >= warmup_at:
-            warmup_marks = _latency_histograms(scheduler)
-            warmup_mono = time.monotonic()
-        if now >= deadline:
-            break
-        tenant = tenants[i % len(tenants)][0]
-        spec = JobSpec(
-            job_id=f"soak-{i:06d}",
-            tenant=tenant,
-            seed=config.seed * 1_000_003 + i,
-            params=params,
-            driver=config.driver,
-            n_tasks=config.n_tasks,
-            instance=mix[i % len(mix)] if mix else None,
-        )
-        submitted += 1
-        try:
-            jobs.append(scheduler.submit(spec))
-        except AdmissionError:
-            rejected += 1
-        i += 1
-    outcomes = await asyncio.gather(
-        *(job.wait() for job in jobs), return_exceptions=True
-    )
-    collector.cancel()
-    try:
-        await collector
-    except asyncio.CancelledError:
-        pass
-
-    completed_jobs = []
-    cancelled = failed = 0
-    for job, outcome in zip(jobs, outcomes):
-        if isinstance(outcome, TSMOResult):
-            completed_jobs.append(job)
-        elif isinstance(outcome, JobCancelled):
-            cancelled += 1
-        elif isinstance(outcome, BaseException):
-            failed += 1
-    completed = len(completed_jobs)
-    lost = len(jobs) - completed - cancelled - failed
-
-    final = _latency_histograms(scheduler)
-    if warmup_marks is None:
-        warmup_marks = {"latency": None, "queue_wait": None}
-    steady = {
-        key: (
-            histogram_delta(final[key], warmup_marks[key])
-            if final[key] is not None
-            else None
-        )
-        for key in ("latency", "queue_wait")
-    }
-    exact = [
-        job.finished_at - job.submitted_at
-        for job in completed_jobs
-        if warmup_mono is None or job.finished_at >= warmup_mono
-    ]
-    return SoakReport(
-        duration_s=config.duration_s,
-        warmup_s=config.warmup_s,
-        rate=config.rate,
-        submitted=submitted,
-        accepted=len(jobs),
-        rejected=rejected,
-        completed=completed,
-        cancelled=cancelled,
-        failed=failed,
-        lost=lost,
-        steady_latency_s=_histogram_quantiles(steady["latency"]),
-        steady_queue_wait_s=_histogram_quantiles(steady["queue_wait"]),
-        exact_latency_s=_quantiles(exact),
-        max_backlog=max(
-            (int(s.get("pool_backlog", 0)) for s in snapshots), default=0
-        ),
-        max_queue_depth=max(
-            (int(s.get("jobs_queued", 0)) for s in snapshots), default=0
-        ),
-        max_active=max(
-            (int(s.get("jobs_active", 0)) for s in snapshots), default=0
-        ),
-        snapshots=len(snapshots),
+        snapshots=len(samples),
+        max_backlog=max((b for b, _ in samples), default=0),
+        max_queue_depth=max((q for _, q in samples), default=0),
         dropped_events=scheduler.bus.dropped(),
     )
 
@@ -452,7 +291,7 @@ def write_report(
     config: TrafficConfig | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write one ``BENCH_serve.json``-style artifact."""
+    """Write ``report`` (plus its config and any ``extra`` keys) as JSON."""
     payload = {
         "bench": "serve",
         "written_at": utc_timestamp(),

@@ -106,7 +106,7 @@ class TSMOResult:
     #: evaluation observability surface; ``None`` when the variant never
     #: ran the delta path, e.g. results built from storage).
     cache_stats: CacheStats | None = None
-    #: metrics-registry snapshot (counters/gauges/histograms/timers)
+    #: metrics-registry snapshot (counters/gauges/histograms)
     #: for instrumented runs; ``None`` when observability was disabled.
     metrics: dict | None = None
     #: per-phase profiler summary (``{"unit": ..., "phases": ...}``)

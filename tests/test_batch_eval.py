@@ -308,7 +308,12 @@ def test_legacy_fallback_is_knob_invariant(
 # ----------------------------------------------------------------------
 
 
-def test_kernel_counters_on_instrumented_search(small_instance, quick_params):
+def test_kernel_counters_on_instrumented_search(
+    small_instance, quick_params, monkeypatch
+):
+    # Counts kernel calls, so it needs the kernel on even when the
+    # suite runs with the knob off.
+    monkeypatch.setenv("REPRO_VECTOR_EVAL", "1")
     result = run_sequential_tsmo(small_instance, quick_params, seed=5, obs=Obs())
     counters = result.metrics["counters"]
     assert counters.get("eval.vector_calls", 0) > 0
@@ -334,7 +339,11 @@ def test_scalar_fallback_counter_on_legacy_loop(small_instance, small_solution):
 # ----------------------------------------------------------------------
 
 
-def test_lazy_neighbor_builds_move_on_demand(small_instance, small_solution):
+def test_lazy_neighbor_builds_move_on_demand(
+    small_instance, small_solution, monkeypatch
+):
+    # Only the kernel defers move builds; pin it on under knob-off runs.
+    monkeypatch.setenv("REPRO_VECTOR_EVAL", "1")
     neighbors = sample_neighborhood(
         small_solution,
         30,

@@ -37,6 +37,7 @@ from repro.serve import (
     ServeParams,
     SolveScheduler,
     TrafficConfig,
+    run_chaos_soak,
     run_traffic,
 )
 from repro.serve.ledger import LEDGER_FILENAME
@@ -642,6 +643,87 @@ class TestCorruptCheckpoint:
         oracle = run_sequential_tsmo(instance, SMALL, seed=31)
         assert result.evaluations == oracle.evaluations
         assert np.array_equal(result.front(), oracle.front())
+
+
+class TestPumpFailure:
+    def test_pump_failure_goes_through_failure_bookkeeping(
+        self, instance, monkeypatch
+    ):
+        """A crashing pump fails every unfinished job the way any other
+        terminal failure does: counted in ``serve.jobs_failed``, ended
+        with a terminal ``job_state`` (so tails close before the
+        scheduler does) and its instance segment released."""
+        payload = generate_instance("C1", 16, seed=7)
+        dispatch = SolveScheduler._dispatch
+
+        def crash_once_running(scheduler):
+            if any(j.state == JobState.RUNNING for j in scheduler._active.values()):
+                raise RuntimeError("injected pump fault")
+            dispatch(scheduler)
+
+        monkeypatch.setattr(SolveScheduler, "_dispatch", crash_once_running)
+
+        async def scenario():
+            obs = Obs()
+            async with SolveScheduler(
+                instance, n_workers=1, pool_params=FAST, obs=obs
+            ) as scheduler:
+                job = scheduler.submit(
+                    JobSpec(job_id="p", seed=4, params=SMALL, instance=payload)
+                )
+                # No await since submit: the tail subscribes before the
+                # pump can admit the job.
+                async with asyncio.timeout(5):
+                    states = [
+                        event["state"]
+                        async for event in scheduler.tail("p")
+                        if event.get("type") == "job_state"
+                    ]
+                with pytest.raises(ServeError, match="pump failed"):
+                    await job.wait()
+                return states, scheduler.report(), obs
+
+        states, report, obs = run(scenario())
+        assert report["failed"] == 1
+        assert obs.metrics.counter("serve.jobs_failed") == report["failed"]
+        assert states[-1] == JobState.FAILED
+        assert report["instance_segments"] == 0
+
+
+class TestChaosSoak:
+    def test_seeded_schedule_conserves_and_stays_bit_identical(
+        self, instance, tmp_path
+    ):
+        """The seeded fault schedule at CI's size: worker kills, a
+        scheduler kill-and-restart with ledger recovery, torn
+        checkpoints, injected crashes and preemptions — and still every
+        job conserved and bit-identical to its sequential oracle."""
+        n_jobs = 24
+        plan = ServeFaultPlan.seeded(1, n_jobs)
+        report = run(
+            run_chaos_soak(
+                instance,
+                checkpoint_dir=tmp_path,
+                plan=plan,
+                n_jobs=n_jobs,
+                n_workers=2,
+                seed=1,
+                budget=96,
+                neighborhood=16,
+                pool_params=FAST,
+            )
+        )
+        assert report.conserved(), report.to_dict()
+        assert report.traffic.completed == n_jobs
+        assert len(plan.worker_kills) >= 2
+        assert report.scheduler_kills >= 1
+        assert report.recovered_jobs >= 1
+        assert report.tears_applied >= 1
+        assert report.job_retries >= 1
+        assert report.preemptions >= 1
+        assert report.bit_identical is True and report.verified_jobs == n_jobs
+        # No job handle survives a scheduler kill: latency is unmeasured.
+        assert report.traffic.latency_s["p50"] is None
 
 
 class TestLedgerRecovery:

@@ -8,7 +8,7 @@ Three layers, mirroring how the plane is built:
 * pool integration — tailing live jobs off the scheduler's bus,
   cross-process span propagation (worker events join their job's
   trace), per-span ``wseq`` ordering under interleaved multi-worker
-  batches, and the sustained-load soak harness;
+  batches, and a duration-bounded traffic run (the soak);
 * the acceptance guarantee — a seeded serve run with a live tail
   consumer attached is bit-identical (front + trajectory counters) to
   the same run with tailing disabled, per driver.  Streaming observes;
@@ -22,9 +22,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.errors import ObsError
+from repro.errors import ServeError
 from repro.obs import Obs, quantile_from_histogram, render_exposition
-from repro.obs.expo import histogram_delta
 from repro.obs.spans import analyze_traces, main as spans_main
 from repro.obs.stream import EventBus
 from repro.obs.validate import main as validate_main, validate_file
@@ -32,9 +31,10 @@ from repro.parallel.pool import PoolParams
 from repro.serve import (
     JobSpec,
     ServeParams,
-    SoakConfig,
     SolveScheduler,
-    run_soak,
+    TrafficConfig,
+    TrafficReport,
+    run_traffic,
 )
 from repro.tabu.params import TSMOParams
 from repro.vrptw.generator import generate_instance
@@ -178,7 +178,6 @@ class TestExpo:
         m.gauge("serve.jobs_active", 2)
         m.observe("lat", 0.3, buckets=(0.1, 1.0))
         m.observe("lat", 5.0, buckets=(0.1, 1.0))
-        m.add_time("poll", 1.25)
         text = render_exposition(m.snapshot())
         assert "# TYPE repro_serve_jobs_completed counter" in text
         assert "repro_serve_jobs_completed 3" in text
@@ -188,7 +187,6 @@ class TestExpo:
         assert 'repro_lat_bucket{le="1"} 1' in text
         assert 'repro_lat_bucket{le="+Inf"} 2' in text
         assert "repro_lat_count 2" in text
-        assert "repro_poll_seconds_total 1.25" in text
 
     def test_quantile_interpolates_within_buckets(self):
         bounds = (1.0, 2.0, 4.0)
@@ -203,21 +201,6 @@ class TestExpo:
         # Mass in the overflow bucket reports the largest finite bound.
         assert quantile_from_histogram((1.0,), (0, 5), 0.99) == pytest.approx(1.0)
 
-    def test_histogram_delta_is_the_steady_state_window(self):
-        earlier = {"bounds": [1.0], "counts": [2, 0], "sum": 1.0, "count": 2}
-        later = {"bounds": [1.0], "counts": [2, 3], "sum": 10.0, "count": 5}
-        delta = histogram_delta(later, earlier)
-        assert delta["counts"] == [0, 3]
-        assert delta["count"] == 3
-        assert delta["sum"] == pytest.approx(9.0)
-        # No earlier mark: the delta is the whole series.
-        assert histogram_delta(later, None)["count"] == 5
-
-    def test_histogram_delta_rejects_mismatched_bounds(self):
-        earlier = {"bounds": [2.0], "counts": [0, 0], "sum": 0.0, "count": 0}
-        later = {"bounds": [1.0], "counts": [1, 0], "sum": 0.5, "count": 1}
-        with pytest.raises(ObsError):
-            histogram_delta(later, earlier)
 
 
 # ----------------------------------------------------------------------
@@ -550,26 +533,32 @@ class TestTailDeterminismGuard:
 
 
 # ----------------------------------------------------------------------
-# Sustained-load soak (short) + end-to-end span completeness
+# Duration-bounded traffic (the soak) + end-to-end span completeness
 # ----------------------------------------------------------------------
 class TestSoak:
     def test_config_validation(self):
-        from repro.errors import ServeError
-
+        # A burst without a job count never ends.
         with pytest.raises(ServeError):
-            SoakConfig(rate=0.0)
+            TrafficConfig(n_jobs=None, duration_s=5.0, rate=0.0)
         with pytest.raises(ServeError):
-            SoakConfig(duration_s=0.0)
+            TrafficConfig(n_jobs=None, duration_s=None)
         with pytest.raises(ServeError):
-            SoakConfig(duration_s=5.0, warmup_s=5.0)
+            TrafficConfig(n_jobs=None, duration_s=0.0)
+        with pytest.raises(ServeError):
+            TrafficConfig(n_jobs=None, duration_s=5.0, warmup_s=5.0)
+        with pytest.raises(ServeError):
+            TrafficConfig(warmup_s=-1.0)
+        # Count-bounded bursts and runs bounded both ways are fine.
+        TrafficConfig(n_jobs=10, rate=0.0)
+        TrafficConfig(n_jobs=10, duration_s=5.0, warmup_s=1.0)
 
     def test_short_soak_conserves_and_reconstructs_spans(
         self, instance, tmp_path, monkeypatch, capsys
     ):
         trace_dir = tmp_path / "traces"
         monkeypatch.setenv("REPRO_TRACE_DIR", str(trace_dir))
-        config = SoakConfig(
-            duration_s=2.5, warmup_s=0.5, rate=10.0, seed=2,
+        config = TrafficConfig(
+            n_jobs=None, duration_s=2.5, warmup_s=0.5, rate=10.0, seed=2,
             budget=32, neighborhood=8,
         )
 
@@ -577,15 +566,13 @@ class TestSoak:
             async with SolveScheduler(
                 instance, n_workers=2, pool_params=FAST, params=SNAPPY
             ) as scheduler:
-                return await run_soak(scheduler, config)
+                return await run_traffic(scheduler, config)
 
         report = run(scenario())
         assert report.conserved(), report.to_dict()
         assert report.submitted > 0
         assert report.snapshots > 0
-        assert report.to_dict()["steady_latency_s"].keys() >= {
-            "p50", "p95", "p99", "count"
-        }
+        assert report.to_dict()["latency_s"].keys() >= {"p50", "p95", "p99"}
         # The traces on disk validate and reconstruct one complete span
         # tree per job — no orphans, no torn lifecycles (the acceptance
         # bar for the 2-worker chaos-free soak).
@@ -728,7 +715,7 @@ class TestTailServer:
 # ----------------------------------------------------------------------
 class TestEmptyAggregates:
     def test_quantiles_of_nothing_are_none(self):
-        from repro.serve.traffic import _histogram_quantiles, _quantiles
+        from repro.serve.traffic import _quantiles
 
         empty = _quantiles([])
         assert empty == {
@@ -738,13 +725,6 @@ class TestEmptyAggregates:
             "max": None,
             "mean": None,
         }
-        # None histogram, empty histogram, and the regression case: a
-        # histogram whose buckets exist but hold all-zero counts (a
-        # steady-state window in which nothing finished).
-        assert _histogram_quantiles(None)["p99"] is None
-        zeroed = {"bounds": [0.1, 1.0], "counts": [0, 0, 0], "count": 0}
-        got = _histogram_quantiles(zeroed)
-        assert got == {"p50": None, "p95": None, "p99": None, "count": 0}
 
     def test_quantile_from_histogram_all_zero_counts(self):
         assert quantile_from_histogram([0.1, 1.0], [0, 0, 0], 0.99) is None
@@ -776,15 +756,25 @@ class TestEmptyAggregates:
         assert "nan" not in line.lower()
 
     def test_empty_steady_window_reports_none(self):
-        """The regression path end to end: a steady-state window in
-        which nothing finished is the *delta of identical histogram
-        marks* — all-zero counts — and its quantiles must come out
-        None (JSON-safe), never NaN or a fake 0ms."""
-        from repro.serve.traffic import _histogram_quantiles
+        """A steady-state window in which nothing finished — every
+        completed job landed inside the warm-up — has no quantiles:
+        they come out None (JSON-safe), never NaN or a fake 0ms, while
+        the audit still counts the jobs as completed."""
+        from types import SimpleNamespace
 
-        mark = {"bounds": [0.1, 1.0], "counts": [3, 2, 1], "sum": 2.5, "count": 6}
-        window = histogram_delta(mark, mark)  # nothing finished since
-        assert window["count"] == 0
-        steady = _histogram_quantiles(window)
-        assert steady == {"p50": None, "p95": None, "p99": None, "count": 0}
-        json.dumps(steady)  # NaN would not survive strict JSON
+        from repro.tabu.search import TSMOResult
+
+        result = TSMOResult(
+            instance_name="R1-20", algorithm="serve-lockstep", params=SMALL,
+            archive=[], iterations=1, evaluations=SMALL.max_evaluations,
+            restarts=0, wall_time=0.0, extra={"job_id": "a"},
+        )
+        job = SimpleNamespace(submitted_at=1.0, started_at=1.5, finished_at=2.0)
+        report = TrafficReport.audit(
+            [(job, result)], budget=SMALL.max_evaluations, since=3.0,
+            submitted=1, rejected=0, makespan_s=2.0, peak_active=1,
+        )
+        assert report.completed == 1 and report.conserved()
+        assert report.latency_s["p50"] is None
+        assert report.queue_wait_s["p99"] is None
+        json.dumps(report.to_dict(), allow_nan=False)
