@@ -35,7 +35,6 @@ DEMO_POOL = PoolParams(
     heartbeat_timeout=10.0,
     task_deadline=10.0,
     backoff_base=0.01,
-    poll_interval=0.02,
 )
 
 N_JOBS = 10

@@ -276,16 +276,12 @@ class MpAsyncParams:
     #: condition ``c3``: seconds the master waits after its last
     #: selection before proceeding with whatever has been collected.
     max_wait: float = 0.25
-    #: blocking granularity of each pool poll.
-    poll_timeout: float = 0.02
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise SearchError("batch_size must be >= 1")
         if self.max_wait < 0:
             raise SearchError("max_wait must be non-negative")
-        if self.poll_timeout <= 0:
-            raise SearchError("poll_timeout must be positive")
 
 
 def run_multiprocessing_async_tsmo(
@@ -365,7 +361,14 @@ def run_multiprocessing_async_tsmo(
 
             task_finished = False
             with profiler.time("wait"):
-                events = pool.poll(aparams.poll_timeout)
+                # With neighbors in hand, wait no longer than c3's real
+                # deadline; with none, c3 cannot fire, so wait for the
+                # pool's next message.
+                if collected:
+                    elapsed = time.monotonic() - last_select
+                    events = pool.poll(max(aparams.max_wait - elapsed, 0.0))
+                else:
+                    events = pool.poll(None)
             with profiler.time("communicate"):
                 for event in events:
                     for triple in event.neighbors:

@@ -19,9 +19,15 @@ throwaway ``multiprocessing.Pool`` the first backend used:
 * **streaming result batches** (``batch_size`` neighbors per message),
   so the asynchronous master can run conditions c1–c4 on partial
   neighborhoods exactly as Algorithm 2 prescribes;
+* **event-driven waiting** — :meth:`WorkerPool.poll` blocks in
+  ``multiprocessing.connection.wait`` on every live worker's result
+  pipe and process sentinel plus a self-pipe (:meth:`WorkerPool.wakeup`),
+  until a message, a worker death, a wakeup or the next supervision
+  instant — never on a fixed sleep cadence;
 * **liveness supervision** — worker heartbeats on an interval, a
-  per-task deadline and a heartbeat timeout; a silent or dead worker is
-  detected within one polling cycle, never waited on forever;
+  per-task deadline and a heartbeat timeout; a dead worker is detected
+  the moment its sentinel fires and a silent one at its deadline, never
+  waited on forever;
 * **bounded retry with exponential backoff** — the task a failed
   worker held is re-dispatched (up to ``max_retries`` times, then
   executed on the master); because every task carries its own seed or
@@ -56,6 +62,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait as mp_wait
 
 import numpy as np
 
@@ -186,8 +193,6 @@ class PoolParams:
     #: waits ``backoff_base * 2**(k-1)``, capped at ``backoff_cap``.
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    #: default blocking granularity of :meth:`WorkerPool.poll`.
-    poll_interval: float = 0.05
     #: extra seconds granted on top of ``task_deadline`` while a worker
     #: incarnation has not yet been heard from: a fresh spawn pays
     #: interpreter + numpy import time before it can even start the
@@ -209,8 +214,6 @@ class PoolParams:
             raise WorkerPoolError("respawn_cap must be >= 0")
         if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
             raise WorkerPoolError("need 0 <= backoff_base <= backoff_cap")
-        if self.poll_interval <= 0:
-            raise WorkerPoolError("poll_interval must be positive")
         if self.boot_grace < 0:
             raise WorkerPoolError("boot_grace must be non-negative")
 
@@ -614,6 +617,10 @@ class WorkerPool:
     or drive it event-by-event with :meth:`poll` (the asynchronous
     master).  All blocking calls are bounded — worker failure is
     handled by retry/respawn/degradation, never by waiting forever.
+
+    The pool is not thread-safe: one thread at a time may call its
+    methods.  The one exception is :meth:`wakeup`, which any thread may
+    call at any time to make a blocked :meth:`poll` return.
     """
 
     def __init__(
@@ -683,10 +690,20 @@ class WorkerPool:
         except OSError:
             self._shared = None
 
+        # The self-pipe behind wakeup(), made before the first spawn.
+        # os.pipe() descriptors are non-inheritable and never ride a
+        # spawn argument, so no worker holds either end.  Both ends are
+        # non-blocking: a full pipe already means a wakeup is pending.
+        self._wake_lock = threading.Lock()
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+
         try:
             for slot in self._slots:
                 self._spawn(slot)
         except Exception:  # pragma: no cover - spawn failure
+            self._close_wakeup()
             self._destroy_shared()
             raise
 
@@ -785,6 +802,7 @@ class WorkerPool:
                     pass
             self._local_shms = []
             self._local_contexts = {}
+            self._close_wakeup()
             self._destroy_shared()
         self._maybe_dump_report()
 
@@ -795,6 +813,36 @@ class WorkerPool:
     def _destroy_shared(self) -> None:
         if self._shared is not None:
             self._shared.destroy()
+
+    def wakeup(self) -> None:
+        """Make a :meth:`poll` blocked in another thread return now.
+
+        The one method that is safe to call from any thread, at any
+        time: a wakeup with no poll blocked makes the next poll's wait
+        return at once, and a wakeup after :meth:`close` does nothing.
+        """
+        with self._wake_lock:
+            if self._wake_w is None:
+                return
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # the pipe is full: a wakeup is already pending
+
+    def _close_wakeup(self) -> None:
+        with self._wake_lock:
+            if self._wake_w is None:
+                return
+            os.close(self._wake_w)
+            os.close(self._wake_r)
+            self._wake_w = self._wake_r = None
+
+    def _drain_wakeup(self) -> None:
+        try:
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
 
     def _maybe_dump_report(self) -> None:
         """Persist the counter report when CI asks for it.
@@ -939,22 +987,24 @@ class WorkerPool:
     def poll(self, timeout: float | None = None) -> list[BatchEvent]:
         """Advance the pool and return newly delivered batches.
 
-        Dispatches pending tasks, drains the result queue (blocking up
-        to ``timeout`` for the first message), and polices liveness —
-        crashed or hung workers are respawned and their tasks retried.
-        Returns possibly-empty; never blocks beyond ``timeout`` plus a
-        bounded policing pass.
+        Dispatches pending tasks, drains the result queues, and polices
+        liveness — crashed or hung workers are respawned and their
+        tasks retried.  When nothing is at hand it blocks until a
+        worker message, a worker death, a :meth:`wakeup`, the next
+        supervision instant (a retry's backoff end, a task deadline, a
+        heartbeat timeout) or ``timeout`` seconds, whichever comes
+        first; ``timeout=None`` waits without a caller bound.  Returns
+        possibly-empty; never blocks forever.
         """
         if self._closed:
             raise WorkerPoolError(
                 "cannot poll a shut-down pool: no workers are left to "
                 "produce results (submit/gather would hang forever)"
             )
-        if timeout is None:
-            timeout = self.params.poll_interval
+        deadline = None if timeout is None else time.monotonic() + timeout
         events: list[BatchEvent] = []
         self._dispatch(events)
-        self._drain(timeout, events)
+        self._drain(deadline, events)
         self._police(events)
         self._dispatch(events)
         return events
@@ -1072,23 +1122,60 @@ class WorkerPool:
             self._handle_message(msg, events)
         return drained
 
-    def _drain(self, timeout: float, events: list[BatchEvent]) -> None:
-        """Drain every worker's result queue, waiting up to ``timeout``.
+    def _drain(self, deadline: float | None, events: list[BatchEvent]) -> None:
+        """Drain every worker's result queue, blocking until one is ready.
 
-        The queues are polled round-robin (they cannot be waited on
-        jointly); once any queue yields a message the pass finishes the
-        sweep and returns, otherwise it sleeps in ``poll_interval``
-        steps until the deadline.
+        Returns at once when the sweep found a message or ``events``
+        already holds batches (the master-local runs of :meth:`_dispatch`
+        produce them itself).  Otherwise it waits on the live slots'
+        result pipes and process sentinels plus the wakeup pipe until
+        the earlier of ``deadline`` and the next supervision instant.
+        The wait set is rebuilt on every call: a respawn replaces a
+        slot's queues and process.
         """
-        deadline = time.monotonic() + timeout
-        while True:
-            drained = sum(self._drain_slot(slot, events) for slot in self._slots)
-            if drained:
-                return
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            time.sleep(min(self.params.poll_interval, remaining))
+        if self._sweep(events) or events:
+            return
+        now = time.monotonic()
+        until = self._next_supervision(now)
+        if deadline is not None and (until is None or deadline < until):
+            until = deadline
+        # No supervision instant and no caller bound: a live worker
+        # beats every heartbeat_interval, so this bound only caps a pool
+        # with nothing to wait for.
+        wait_s = self.params.heartbeat_timeout if until is None else until - now
+        if wait_s <= 0:
+            return
+        handles = [self._wake_r]
+        for slot in self._slots:
+            if slot.alive:
+                handles.append(slot.result_q._reader)
+                handles.append(slot.process.sentinel)
+        ready = mp_wait(handles, wait_s)
+        if self._wake_r in ready:
+            self._drain_wakeup()
+        if ready:
+            # Whatever fired, one sweep picks up the messages; a fired
+            # sentinel is left to _police, which runs next.
+            self._sweep(events)
+
+    def _sweep(self, events: list[BatchEvent]) -> int:
+        return sum(self._drain_slot(slot, events) for slot in self._slots)
+
+    def _next_supervision(self, now: float) -> float | None:
+        """The earliest future instant at which :meth:`_police` or
+        :meth:`_dispatch` has work that no message will announce."""
+        instants = []
+        if any(s.alive and s.busy is None for s in self._slots):
+            # A retry in its backoff window becomes dispatchable.
+            instants.extend(
+                ready_at
+                for ready_at in (self._tasks[tid].ready_at for tid in self._pending)
+                if ready_at > now
+            )
+        for slot in self._slots:
+            if slot.alive and slot.busy is not None:
+                instants.extend(self._hung_after(slot))
+        return min(instants, default=None)
 
     def _accept_batch(self, msg: PoolBatch, events: list[BatchEvent]) -> None:
         slot = self._slots[msg.worker] if 0 <= msg.worker < len(self._slots) else None
@@ -1175,39 +1262,42 @@ class WorkerPool:
             if slot.busy is not None and slot.busy.task_id == msg.task_id:
                 slot.busy = None
 
+    def _hung_after(self, slot: _Slot) -> list[float]:
+        """The instants after which a busy slot counts as hung."""
+        p = self.params
+        instants = []
+        # The deadline clock must not count worker boot time: a fresh
+        # incarnation spends interpreter + import seconds before
+        # touching the task, arbitrarily stretched by machine load.
+        # Once heard, the clock runs from the later of dispatch and
+        # first-heard; an *unheard* worker gets ``boot_grace`` on top of
+        # the deadline, so a wedged boot is still caught — just not
+        # mistaken for a straggling task.
+        if p.task_deadline is not None:
+            if slot.heard:
+                started = max(slot.dispatched_at, slot.heard_at)
+                instants.append(started + p.task_deadline)
+            else:
+                instants.append(slot.dispatched_at + p.task_deadline + p.boot_grace)
+        # Silence only counts once this incarnation has been heard from:
+        # a freshly (re)spawned worker legitimately spends boot time
+        # before its first heartbeat, and a worker wedged *during* boot
+        # is still caught by the task deadline or its sentinel.
+        if slot.heard:
+            instants.append(slot.last_seen + p.heartbeat_timeout)
+        return instants
+
     def _police(self, events: list[BatchEvent]) -> None:
         now = time.monotonic()
-        p = self.params
         for slot in self._slots:
             if not slot.alive:
                 continue
             dead = not slot.process.is_alive()
-            hung = False
-            if not dead and slot.busy is not None:
-                # The deadline clock must not count worker boot time: a
-                # fresh incarnation spends interpreter + import seconds
-                # before touching the task, arbitrarily stretched by
-                # machine load.  Once heard, the clock runs from the
-                # later of dispatch and first-heard; an *unheard* worker
-                # gets ``boot_grace`` on top of the deadline, so a
-                # wedged boot is still caught — just not mistaken for a
-                # straggling task.
-                if p.task_deadline is None:
-                    over_deadline = False
-                elif slot.heard:
-                    started = max(slot.dispatched_at, slot.heard_at)
-                    over_deadline = now - started > p.task_deadline
-                else:
-                    over_deadline = (
-                        now - slot.dispatched_at > p.task_deadline + p.boot_grace
-                    )
-                # Silence only counts once this incarnation has been
-                # heard from: a freshly (re)spawned worker legitimately
-                # spends boot time (interpreter + imports) before its
-                # first heartbeat, and a worker wedged *during* boot is
-                # still caught by the task deadline or is_alive().
-                silent = slot.heard and now - slot.last_seen > p.heartbeat_timeout
-                hung = over_deadline or silent
+            hung = (
+                not dead
+                and slot.busy is not None
+                and any(now > t for t in self._hung_after(slot))
+            )
             if dead or hung:
                 self._fail_slot(slot, "crash" if dead else "straggler", events)
 

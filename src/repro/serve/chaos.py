@@ -268,9 +268,7 @@ async def run_chaos_soak(
         # live checkpoints, so recovery (and tearing) has teeth.
         checkpoint_every = max(min(neighborhood, budget // 4), 4)
     if serve_params is None:
-        serve_params = ServeParams(
-            max_active=4, max_queued=max(2 * n_jobs, 128), pump_interval=0.01
-        )
+        serve_params = ServeParams(max_active=4, max_queued=max(2 * n_jobs, 128))
     params = TSMOParams(max_evaluations=budget, neighborhood_size=neighborhood)
     tenant_names = [name for name, _ in tenants]
     specs = [

@@ -16,8 +16,11 @@ The pool is not thread-safe, so every pool call — dispatch, poll,
 cancel — happens inside the single :meth:`_pump` coroutine; the
 blocking ``pool.poll`` runs via ``asyncio.to_thread`` so the event
 loop stays live for submissions.  Client-facing methods
-(:meth:`submit`, :meth:`cancel`) only mutate scheduler state; the pump
-applies their effects between polls.
+(:meth:`submit`, :meth:`cancel`) only mutate scheduler state and then
+call ``pool.wakeup()`` — the pool's one thread-safe method — so the
+pump's blocked poll returns and applies their effects at once.  The
+poll otherwise waits for a worker result or the pump's next timed
+duty (snapshot, job deadline, retry backoff); there is no cadence.
 
 Scheduling is three layered decisions, made every pump cycle:
 
@@ -99,7 +102,6 @@ class ServeParams:
 
     max_active: int = 64
     max_queued: int = 128
-    pump_interval: float = 0.02
     quantum: float = 32.0
     max_inflight: int | None = None
     snapshot_interval: float = 0.5
@@ -109,8 +111,6 @@ class ServeParams:
             raise ServeError("max_active must be >= 1")
         if self.max_queued < 0:
             raise ServeError("max_queued must be >= 0")
-        if self.pump_interval <= 0:
-            raise ServeError("pump_interval must be positive")
         if self.quantum <= 0:
             raise ServeError("quantum must be positive")
         if self.max_inflight is not None and self.max_inflight < 1:
@@ -489,6 +489,7 @@ class SolveScheduler:
         if self._closed:
             return
         self._stopping = True
+        self._wake_pump()
         if self._pump_task is not None:
             await self._pump_task
             self._pump_task = None
@@ -529,6 +530,7 @@ class SolveScheduler:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         self._stopping = True
+        self._wake_pump()
         if self._pump_task is not None:
             await self._pump_task
             self._pump_task = None
@@ -545,6 +547,7 @@ class SolveScheduler:
                 # closing the episode keeps the ledger conserved and stops
                 # the next scheduler from resurrecting abandoned work.
                 self._record(job, "failed", cause="scheduler closed", attempts=job.attempts + 1)
+        self._heap.clear()  # every waiting job just failed
         if self._pool is not None:
             self._pool.close()
         self._store.close()
@@ -592,7 +595,7 @@ class SolveScheduler:
                 f"job {spec.job_id!r} requests resume but the scheduler has "
                 "no checkpoint directory"
             )
-        if len(self._heap) >= self.params.max_queued:
+        if self._queued_count() >= self.params.max_queued:
             self.rejected += 1
             self.obs.metrics.inc("serve.admission_rejects")
             self._emit_state(spec.job_id, "rejected")
@@ -638,7 +641,26 @@ class SolveScheduler:
         self._seq += 1
         self.submitted += 1
         self._emit_state(spec.job_id, JobState.QUEUED)
+        self._wake_pump()
         return job
+
+    def _wake_pump(self) -> None:
+        """Make the pump's blocked ``pool.poll`` return now (the pool's
+        one thread-safe call), so a submission, cancellation or
+        shutdown takes effect without waiting for a result."""
+        if self._pool is not None:
+            self._pool.wakeup()
+
+    def _queued_count(self) -> int:
+        """Jobs waiting for admission (queued, backing off a retry, or
+        preempted): exactly the heap, which holds nothing else."""
+        return len(self._heap)
+
+    def _unqueue(self, job: Job) -> None:
+        """Drop a waiting job's heap entry when it ends without being
+        admitted, so it stops holding an admission slot."""
+        self._heap = [entry for entry in self._heap if entry[2] is not job]
+        heapq.heapify(self._heap)
 
     def _default_fingerprint(self) -> str:
         if self._default_fp is None:
@@ -660,11 +682,13 @@ class SolveScheduler:
             return False
         if job.state in (JobState.QUEUED, JobState.PREEMPTED):
             # Not on the pool (a preempted job's tasks were already
-            # cancelled at suspension), so cancel immediately; the
-            # job's stale heap entry is skipped at admission.
+            # cancelled at suspension), so cancel immediately and free
+            # its admission slot.
+            self._unqueue(job)
             self._finish_cancelled(job)
         else:
             job.cancel_requested = True
+            self._wake_pump()
         return True
 
     def get_job(self, job_id: str) -> Job:
@@ -676,9 +700,6 @@ class SolveScheduler:
     def report(self) -> dict:
         """Service counters plus the pool's own report (always readable,
         including after :meth:`close`)."""
-        queued = sum(
-            1 for j in self._jobs.values() if j.state == JobState.QUEUED
-        )
         out = {
             "submitted": self.submitted,
             "rejected": self.rejected,
@@ -686,7 +707,7 @@ class SolveScheduler:
             "cancelled": self.cancelled,
             "failed": self.failed,
             "active": len(self._active),
-            "queued": queued,
+            "queued": self._queued_count(),
             "peak_active": self.peak_active,
             "job_retries": self.job_retries,
             "preemptions": self.preemptions,
@@ -751,7 +772,6 @@ class SolveScheduler:
     # ------------------------------------------------------------------
     async def _pump(self) -> None:
         pool = self._pool
-        interval = self.params.pump_interval
         try:
             while True:
                 if self._stopping:
@@ -767,17 +787,38 @@ class SolveScheduler:
                 self._dispatch()
                 self._update_gauges()
                 self._maybe_snapshot()
-                if pool.backlog():
-                    events = await asyncio.to_thread(pool.poll, interval)
-                    self._route(events)
-                else:
-                    await asyncio.sleep(interval)
+                # The thread hop keeps the loop live while the poll
+                # blocks, and keeps the poll's failure handling (process
+                # joins, tasks run on the master) off the loop.
+                events = await asyncio.to_thread(pool.poll, self._next_duty_in())
+                self._route(events)
         except Exception as exc:  # noqa: BLE001 - the pump must not die silently
             wrapped = ServeError(f"solve-service pump failed: {exc}")
             wrapped.__cause__ = exc
             for job in list(self._jobs.values()):
                 if not job._future.done():
                     self._fail_job(job, wrapped)
+
+    def _next_duty_in(self) -> float:
+        """Seconds until the pump's next timed duty: the next metrics
+        snapshot, the earliest active job's deadline or the earliest
+        queued retry's backoff end.  Everything else that needs the
+        pump — results, submissions, cancellations, shutdown — wakes
+        its poll directly."""
+        now = time.monotonic()
+        instants = [self._last_snapshot_at + self.params.snapshot_interval]
+        for job in self._active.values():
+            deadline = job.spec.deadline_s
+            if (
+                deadline is not None
+                and not job.cancel_requested
+                and job.attempt_started_at is not None
+            ):
+                instants.append(job.attempt_started_at + deadline)
+        for _, _, job in self._heap:
+            if job.state == JobState.QUEUED and job.retry_at > now:
+                instants.append(job.retry_at)
+        return max(min(instants) - now, 0.0)
 
     def _route(self, events) -> None:
         for event in events:
@@ -796,11 +837,7 @@ class SolveScheduler:
         now = time.monotonic()
         deferred: list[tuple[int, int, Job]] = []
         while self._heap:
-            entry = self._heap[0]
-            job = entry[2]
-            if job.state not in (JobState.QUEUED, JobState.PREEMPTED):
-                heapq.heappop(self._heap)
-                continue  # cancelled/failed while waiting — stale entry
+            job = self._heap[0][2]
             if job.state == JobState.QUEUED and job.retry_at > now:
                 # Backoff gate: the retry is queued but not yet due.
                 deferred.append(heapq.heappop(self._heap))
@@ -1076,6 +1113,8 @@ class SolveScheduler:
 
     def _fail_job(self, job: Job, exc: BaseException) -> None:
         self._active.pop(job.job_id, None)
+        if job.state in (JobState.QUEUED, JobState.PREEMPTED):
+            self._unqueue(job)
         if self._pool is not None and not self._pool._closed:
             try:
                 self._pool.cancel_tag(job.job_id)
@@ -1112,10 +1151,7 @@ class SolveScheduler:
     def _update_gauges(self) -> None:
         m = self.obs.metrics
         m.gauge("serve.jobs_active", len(self._active))
-        m.gauge(
-            "serve.jobs_queued",
-            sum(1 for j in self._jobs.values() if j.state == JobState.QUEUED),
-        )
+        m.gauge("serve.jobs_queued", self._queued_count())
         m.gauge("serve.peak_active", self.peak_active)
         if self._pool is not None:
             m.gauge("serve.pool_backlog", self._pool.backlog())
@@ -1148,9 +1184,7 @@ class SolveScheduler:
         self._prev_counters = counters
         snapshot = {
             "jobs_active": len(self._active),
-            "jobs_queued": sum(
-                1 for j in self._jobs.values() if j.state == JobState.QUEUED
-            ),
+            "jobs_queued": self._queued_count(),
             "pool_backlog": self._pool.backlog() if self._pool is not None else 0,
             "deficits": self._drr.deficits(),
             "counters": counters,

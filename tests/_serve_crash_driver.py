@@ -33,7 +33,6 @@ FAST = PoolParams(
     heartbeat_timeout=10.0,
     task_deadline=10.0,
     backoff_base=0.01,
-    poll_interval=0.02,
 )
 
 PARAMS = TSMOParams(max_evaluations=240, neighborhood_size=16)

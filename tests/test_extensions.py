@@ -30,7 +30,6 @@ FAST_POOL = PoolParams(
     heartbeat_timeout=10.0,
     task_deadline=10.0,
     backoff_base=0.01,
-    poll_interval=0.02,
 )
 
 
@@ -162,7 +161,6 @@ class TestMultiprocessingFaults:
             heartbeat_timeout=10.0,
             task_deadline=10.0,
             backoff_base=0.01,
-            poll_interval=0.02,
             respawn_cap=0,
         )
         degraded = run_multiprocessing_tsmo(
@@ -207,8 +205,6 @@ class TestMultiprocessingAsync:
             MpAsyncParams(batch_size=0)
         with pytest.raises(SearchError):
             MpAsyncParams(max_wait=-1.0)
-        with pytest.raises(SearchError):
-            MpAsyncParams(poll_timeout=0.0)
 
     def test_invalid_workers(self, instance):
         with pytest.raises(SearchError):

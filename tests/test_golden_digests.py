@@ -153,7 +153,6 @@ FAST_POOL = PoolParams(
     heartbeat_timeout=10.0,
     task_deadline=10.0,
     backoff_base=0.01,
-    poll_interval=0.02,
 )
 LOCKSTEP_DIGEST = "bf29a98594fc539b"
 

@@ -6,6 +6,7 @@ tests shrink every supervision interval so failure paths resolve in
 well under a second of policing time.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -25,7 +26,6 @@ FAST = PoolParams(
     heartbeat_timeout=10.0,
     task_deadline=10.0,
     backoff_base=0.01,
-    poll_interval=0.02,
 )
 
 
@@ -98,7 +98,6 @@ class TestPoolParams:
             dict(respawn_cap=-1),
             dict(backoff_base=-0.1),
             dict(backoff_base=1.0, backoff_cap=0.5),
-            dict(poll_interval=0.0),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -201,7 +200,6 @@ class TestFaultTolerance:
             # still cuts the 30 s sleeper off as a straggler.
             boot_grace=10.0,
             backoff_base=0.01,
-            poll_interval=0.02,
         )
         with WorkerPool(instance, 1, params=params, fault_plan=plan) as pool:
             tid = pool.submit(routes, 8, seed=9, iteration=1)
@@ -221,7 +219,6 @@ class TestFaultTolerance:
             heartbeat_timeout=10.0,
             task_deadline=10.0,
             backoff_base=0.01,
-            poll_interval=0.02,
             respawn_cap=0,
         )
         with WorkerPool(instance, 2, params=params, fault_plan=plan) as pool:
@@ -249,6 +246,65 @@ class TestFaultTolerance:
         payload = json.loads(dumps[0].read_text())
         assert payload["tasks_completed"] == 1
         assert payload["n_workers"] == 1
+
+
+class TestEventDrivenWait:
+    """poll() blocks on readiness, not on a sleep cadence.
+
+    Heartbeats are pushed out to 20 s here, so no worker message can
+    end a wait early: only the mechanism under test can.
+    """
+
+    QUIET = dict(heartbeat_interval=20.0, heartbeat_timeout=60.0)
+
+    def test_wakeup_from_another_thread_ends_a_blocked_poll(self, instance):
+        with WorkerPool(instance, 1, params=PoolParams(**self.QUIET)) as pool:
+            waker = threading.Timer(0.2, pool.wakeup)
+            waker.start()
+            t0 = time.monotonic()
+            events = pool.poll(timeout=30)
+            elapsed = time.monotonic() - t0
+            waker.join(timeout=5)
+        assert not waker.is_alive()
+        assert events == []
+        assert elapsed < 5.0
+        pool.wakeup()  # after close: a no-op, not an error
+
+    def test_retry_dispatches_at_its_backoff_end(self, instance, routes):
+        # The worker dies before the task; its sentinel wakes the wait,
+        # and the retry must then leave its 0.3 s backoff on time — no
+        # worker message (the next heartbeat is 20 s away) announces it.
+        plan = FaultPlan(kills=((0, 0, None),))
+        params = PoolParams(backoff_base=0.3, **self.QUIET)
+        with WorkerPool(instance, 1, params=params, fault_plan=plan) as pool:
+            t0 = time.monotonic()
+            tid = pool.submit(routes, 6, seed=4, iteration=1)
+            outcome = pool.gather([tid])[tid]
+            elapsed = time.monotonic() - t0
+            report = pool.report()
+        assert elapsed < 10.0
+        assert report["crashes"] == 1 and report["retries"] == 1
+        assert outcome.neighbors == run_on_master(instance, routes, 6, seed=4)
+
+    def test_gather_after_total_collapse_does_not_block(self, instance, routes):
+        # Master-local runs produce their events inside poll(); the
+        # drain must return them instead of waiting for a message no
+        # (dead) worker will ever send.
+        plan = FaultPlan(kills=((0, 0, None), (1, 0, None)))
+        params = PoolParams(respawn_cap=0, **self.QUIET)
+        with WorkerPool(instance, 2, params=params, fault_plan=plan) as pool:
+            t0 = time.monotonic()
+            first = [pool.submit(routes, 6, seed=s, iteration=1) for s in (1, 2)]
+            pool.gather(first)
+            assert pool.degraded
+            later = [pool.submit(routes, 6, seed=s, iteration=2) for s in (3, 4, 5)]
+            outcomes = pool.gather(later)
+            elapsed = time.monotonic() - t0
+        assert elapsed < 10.0
+        for tid, seed in zip(later, (3, 4, 5)):
+            assert outcomes[tid].neighbors == run_on_master(
+                instance, routes, 6, seed=seed
+            )
 
 
 class TestShutdownSurface:

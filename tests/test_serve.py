@@ -27,7 +27,7 @@ from repro.errors import (
     WrongInstanceError,
 )
 from repro.obs import Obs
-from repro.parallel.pool import PoolParams
+from repro.parallel.pool import FaultPlan, PoolParams
 from repro.serve import (
     DeficitRoundRobin,
     JobLedger,
@@ -51,7 +51,6 @@ FAST = PoolParams(
     heartbeat_timeout=10.0,
     task_deadline=10.0,
     backoff_base=0.01,
-    poll_interval=0.02,
 )
 
 #: a small budget: a few iterations, well under a second per job.
@@ -121,6 +120,39 @@ class TestAdmission:
                 scheduler.submit(JobSpec(job_id="b", params=SMALL))
 
         run(scenario())
+
+    def test_cancelled_queued_job_frees_its_admission_slot(self, instance):
+        # Regression: a job cancelled while queued kept its heap entry
+        # (and so its admission slot) until that entry reached the top.
+        long_params = TSMOParams(max_evaluations=4000, neighborhood_size=8)
+
+        async def scenario():
+            async with SolveScheduler(
+                instance,
+                n_workers=1,
+                pool_params=FAST,
+                params=ServeParams(max_active=1, max_queued=2),
+            ) as scheduler:
+                a = scheduler.submit(JobSpec(job_id="a", seed=1, params=long_params))
+                while a.state != JobState.RUNNING:
+                    await asyncio.sleep(0.005)
+                jobs = [a] + [
+                    scheduler.submit(JobSpec(job_id=j, seed=2, params=SMALL))
+                    for j in ("b", "c")
+                ]
+                assert scheduler.cancel("c") is True
+                assert scheduler.report()["queued"] == 1
+                jobs.append(scheduler.submit(JobSpec(job_id="d", params=SMALL)))
+                assert scheduler.report()["queued"] == 2
+                for job in jobs:
+                    scheduler.cancel(job.job_id)
+                with pytest.raises(JobCancelled):
+                    await a.wait()
+                return scheduler.report()
+
+        report = run(scenario())
+        assert report["rejected"] == 0
+        assert report["cancelled"] == 4 and report["queued"] == 0
 
     def test_resume_without_checkpoint_dir_rejected(self, instance):
         async def scenario():
@@ -217,10 +249,16 @@ class TestLockstepBitIdentity:
 class TestCancellation:
     def test_cancel_mid_run_drains_gracefully(self, instance):
         long_params = TSMOParams(max_evaluations=4000, neighborhood_size=8)
+        # One worker takes the two jobs' tasks in turn (victim's at even
+        # ordinals), so ordinal 4 is the victim's third task, dispatched
+        # as its evaluations pass 16.  The delay keeps that task in
+        # flight when the cancel lands: without it, the task could
+        # finish and be routed first, leaving nothing to cancel.
+        plan = FaultPlan(delays=((0, 4, 1.5),))
 
         async def scenario():
             async with SolveScheduler(
-                instance, n_workers=1, pool_params=FAST
+                instance, n_workers=1, pool_params=FAST, fault_plan=plan
             ) as scheduler:
                 victim = scheduler.submit(
                     JobSpec(job_id="victim", seed=1, params=long_params)
@@ -514,7 +552,7 @@ class TestPreemption:
                 instance,
                 n_workers=1,
                 pool_params=FAST,
-                params=ServeParams(max_active=1, pump_interval=0.01),
+                params=ServeParams(max_active=1),
                 checkpoint_dir=tmp_path,
                 obs=obs,
             ) as scheduler:
@@ -562,7 +600,7 @@ class TestPreemption:
                 instance,
                 n_workers=1,
                 pool_params=FAST,
-                params=ServeParams(max_active=1, pump_interval=0.01),
+                params=ServeParams(max_active=1),
             ) as scheduler:
                 low = scheduler.submit(
                     JobSpec(job_id="low", seed=23, params=params, priority=0)
@@ -590,7 +628,7 @@ class TestPreemption:
                 instance,
                 n_workers=1,
                 pool_params=FAST,
-                params=ServeParams(max_active=1, pump_interval=0.01),
+                params=ServeParams(max_active=1),
             ) as scheduler:
                 first = scheduler.submit(
                     JobSpec(job_id="first", seed=25, params=SMALL, priority=3)

@@ -44,7 +44,6 @@ FAST = PoolParams(
     heartbeat_timeout=10.0,
     task_deadline=10.0,
     backoff_base=0.01,
-    poll_interval=0.02,
 )
 
 SMALL = TSMOParams(max_evaluations=48, neighborhood_size=8)

@@ -47,7 +47,6 @@ FAST = PoolParams(
     heartbeat_timeout=10.0,
     task_deadline=10.0,
     backoff_base=0.01,
-    poll_interval=0.02,
 )
 
 
@@ -329,7 +328,7 @@ class TestSharedInstance:
             routes = i1_construct(instance, rng=1).routes
             params = PoolParams(
                 heartbeat_interval=0.05, heartbeat_timeout=10.0,
-                task_deadline=10.0, backoff_base=0.01, poll_interval=0.02,
+                task_deadline=10.0, backoff_base=0.01,
             )
             crash = {crash!r}
             with WorkerPool(instance, 1, params=params) as pool:
@@ -573,7 +572,7 @@ class TestSharedInstanceStore:
             instance = generate_instance("R1", 20, seed=55)
             params = PoolParams(
                 heartbeat_interval=0.05, heartbeat_timeout=10.0,
-                task_deadline=10.0, backoff_base=0.01, poll_interval=0.02,
+                task_deadline=10.0, backoff_base=0.01,
             )
             ckpt = Path(tempfile.mkdtemp())
             # Corrupt mid-file (not a torn tail): recovery must raise.
