@@ -12,7 +12,8 @@ The matrix:
   customers, several seeds;
 * the sequential, synchronous, asynchronous and collaborative drivers
   on the simulated cluster at 100 customers, S=50 (front, simulated
-  time and evaluation counts);
+  time and evaluation counts), and the hybrid at its defaults and as
+  two unperturbed 3-processor islands;
 * sequential runs with the six-operator registry (the paper's five plus
   the non-paper segment exchange), whose sampler draws every move
   through the scalar ``draw_move`` path;
@@ -38,6 +39,7 @@ from repro.core.operators.segment_exchange import SegmentExchange
 from repro.parallel.async_ts import run_asynchronous_tsmo
 from repro.parallel.base import run_sequential_simulated
 from repro.parallel.collab_ts import run_collaborative_tsmo
+from repro.parallel.hybrid_ts import HybridParams, run_hybrid_tsmo
 from repro.parallel.mp_backend import run_multiprocessing_tsmo
 from repro.parallel.pool import PoolParams
 from repro.parallel.sync_ts import run_synchronous_tsmo
@@ -104,12 +106,23 @@ DES_DRIVERS = {
     "sync": lambda inst: run_synchronous_tsmo(inst, DES_PARAMS, 3, seed=3),
     "async": lambda inst: run_asynchronous_tsmo(inst, DES_PARAMS, 3, seed=3),
     "collab": lambda inst: run_collaborative_tsmo(inst, DES_PARAMS, 3, seed=3),
+    "hybrid": lambda inst: run_hybrid_tsmo(inst, DES_PARAMS, seed=3),
+    "hybrid-2x3": lambda inst: run_hybrid_tsmo(
+        inst,
+        DES_PARAMS,
+        HybridParams(
+            n_islands=2, procs_per_island=3, perturb=False, initial_phase_patience=0
+        ),
+        seed=11,
+    ),
 }
 DES_DIGESTS = {
     "sequential": "124126a651e17cf1",
     "sync": "6565ac2629e30a72",
     "async": "d62af8f2474ca1e5",
     "collab": "cbeecb0ee7e8708c",
+    "hybrid": "a7c4e8034ddb7977",
+    "hybrid-2x3": "04f844332fd50a0c",
 }
 
 
