@@ -1,15 +1,13 @@
 """The speedup-shape calibration table (DESIGN.md acceptance evidence).
 
 Prints the Ts/Tp speedups of every parallel variant at 3/6/12
-processors next to the paper's reported values, plus the adaptive-
-memory extension as a quality reference.  This is the compact
+processors next to the paper's reported values.  This is the compact
 reproduction scoreboard EXPERIMENTS.md quotes.
 """
 
 import numpy as np
 from conftest import emit
 
-from repro.parallel.adaptive_memory import AdaptiveMemoryParams, run_adaptive_memory_tsmo
 from repro.parallel.async_ts import run_asynchronous_tsmo
 from repro.parallel.base import run_sequential_simulated
 from repro.parallel.collab_ts import CollabParams, run_collaborative_tsmo
@@ -67,20 +65,11 @@ def sweep(bench_config):
                 ]
             )
             rows[(label, p)] = ts / tp
-    am = run_adaptive_memory_tsmo(
-        instance,
-        params,
-        AdaptiveMemoryParams(
-            burst_evaluations=max(200, params.max_evaluations // 5),
-            burst_neighborhood=params.neighborhood_size,
-        ),
-        seed=1,
-    )
-    return instance.name, rows, am.best_feasible()
+    return instance.name, rows
 
 
 def test_calibration_shapes(benchmark, bench_config, output_dir):
-    name, rows, am_best = benchmark.pedantic(
+    name, rows = benchmark.pedantic(
         sweep, args=(bench_config,), rounds=1, iterations=1
     )
     lines = [
@@ -92,7 +81,6 @@ def test_calibration_shapes(benchmark, bench_config, output_dir):
             f"{label:<8} {p:>5} {format_speedup(ratio):>10} "
             f"{PAPER_TABLE1[(label, p)]:>10}"
         )
-    lines.append(f"adaptive-memory extension best feasible: {am_best}")
     emit(output_dir, "calibration", "\n".join(lines))
     # The four qualitative shapes (duplicated from test_parallel_shapes
     # so a bench-only run still verifies them).

@@ -60,13 +60,11 @@ from repro.obs import (
     PhaseProfiler,
 )
 from repro.parallel import (
-    AdaptiveMemoryParams,
     AsyncParams,
     CollabParams,
     CostModel,
     HybridParams,
     SimCluster,
-    run_adaptive_memory_tsmo,
     run_asynchronous_tsmo,
     run_collaborative_tsmo,
     run_hybrid_tsmo,
@@ -99,7 +97,6 @@ from repro.vrptw import (
 )
 
 __all__ = [
-    "AdaptiveMemoryParams",
     "AdmissionError",
     "AsyncParams",
     "BenchmarkError",
@@ -153,7 +150,6 @@ __all__ = [
     "mutual_coverage",
     "read_checkpoint",
     "read_solomon",
-    "run_adaptive_memory_tsmo",
     "run_asynchronous_tsmo",
     "run_collaborative_tsmo",
     "run_hybrid_tsmo",

@@ -47,10 +47,9 @@ of the knob):
 Known counter caveat: the kernel performs its cache lookups grouped by
 operator kind rather than in slot order.  The multiset of looked-up
 routes is identical to the scalar order, so hit/miss totals only ever
-diverge when the cache is actively evicting *and* a simulated-time run
-charges ``CostModel.miss_scan_cost > 0`` (it defaults to 0.0); cache
-counters were already excluded from trajectory-identity guarantees by
-the delta-evaluation PR.
+diverge when the cache is actively evicting.  No search decision and
+no simulated clock reads the cache counters, so trajectories are
+unaffected.
 """
 
 from __future__ import annotations

@@ -18,10 +18,7 @@ evaluate_move` O(changed routes) *amortized O(cache-miss routes)*.
 Observability: the cache counts hits, misses, evictions and raw lookup
 requests; :meth:`RouteStatsCache.snapshot` freezes them into a
 :class:`CacheStats` record that search drivers thread into
-``TSMOResult.cache_stats`` and the Figure-1 trace.  The simulated-time
-cost model charges per cache-miss route scan (``CostModel.
-miss_scan_cost``) using the same counters, so simulated speedups stay
-honest about the memoization.
+``TSMOResult.cache_stats`` and the Figure-1 trace.
 
 Knobs
 -----

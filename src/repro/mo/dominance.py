@@ -79,7 +79,7 @@ def non_dominated_sort(points: Sequence | np.ndarray) -> list[np.ndarray]:
 
     Returns a list of index arrays; front 0 is the Pareto front of the
     input, front 1 the front after removing front 0, and so on.  Used
-    by the extension indicators and the adaptive-memory variant.
+    by NSGA-II.
     """
     pts = as_points(points)
     n = pts.shape[0]

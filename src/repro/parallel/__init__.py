@@ -1,7 +1,7 @@
 """Parallel TSMO variants and the simulated-cluster substrate.
 
 The paper ran on an SGI Origin 3800 with 128 processors; this
-environment has one core and a GIL, so (per DESIGN.md) the parallel
+environment has two cores and a GIL, so (per DESIGN.md) the parallel
 *protocols* execute for real inside a deterministic discrete-event
 simulation while durations come from a calibrated cost model:
 
@@ -20,16 +20,12 @@ simulation while durations come from a calibrated cost model:
   with deterministic re-seeding, respawn, graceful degradation);
 * :mod:`repro.parallel.mp_backend` — the synchronous and asynchronous
   master/worker protocols on actual OS processes, built on the pool
-  (not used by the benchmark tables: one core here);
-* :mod:`repro.parallel.adaptive_memory` — Taillard-style adaptive
-  memory TS (the domain-decomposition strand of related work, §I),
-  included as an extension.
+  (not used by the benchmark tables);
+* :mod:`repro.parallel.hybrid_ts` — the §V future-work hybrid: islands
+  built from the asynchronous master and the collaborative elite
+  exchange.
 """
 
-from repro.parallel.adaptive_memory import (
-    AdaptiveMemoryParams,
-    run_adaptive_memory_tsmo,
-)
 from repro.parallel.async_ts import AsyncParams, run_asynchronous_tsmo
 from repro.parallel.base import run_sequential_simulated
 from repro.parallel.cluster import SimCluster
@@ -53,7 +49,6 @@ from repro.parallel.shm import (
 from repro.parallel.sync_ts import run_synchronous_tsmo
 
 __all__ = [
-    "AdaptiveMemoryParams",
     "AsyncParams",
     "CollabParams",
     "CostModel",
@@ -69,7 +64,6 @@ __all__ = [
     "SimCluster",
     "WorkerPool",
     "instance_fingerprint",
-    "run_adaptive_memory_tsmo",
     "run_asynchronous_tsmo",
     "run_collaborative_tsmo",
     "run_hybrid_tsmo",

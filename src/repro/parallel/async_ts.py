@@ -33,14 +33,13 @@ import numpy as np
 
 from repro.core.evaluation import Evaluator
 from repro.core.operators.registry import OperatorRegistry, default_registry
+from repro.core.objectives import ObjectiveVector
 from repro.errors import SimulationError
-from repro.mo.dominance import dominates
-from repro.obs import NULL_OBS
+from repro.obs import NULL_OBS, NULL_TRACER
 from repro.parallel.base import simulation_context
 from repro.parallel.costmodel import CostModel
 from repro.parallel.des import GET_TIMED_OUT
-from repro.parallel.messages import ResultMessage, StopMessage, TaskMessage
-from repro.core.objectives import ObjectiveVector
+from repro.parallel.messages import SolutionMessage, StopMessage, TaskMessage
 from repro.parallel.sync_ts import split_chunks, worker_process
 from repro.rng import RngFactory, get_generator_state, set_generator_state
 from repro.tabu.neighborhood import Neighbor
@@ -49,7 +48,7 @@ from repro.tabu.search import TSMOEngine, TSMOResult, decode_routes, encode_solu
 from repro.tabu.trace import TrajectoryRecorder
 from repro.vrptw.instance import Instance
 
-__all__ = ["AsyncParams", "run_asynchronous_tsmo"]
+__all__ = ["AsyncMaster", "AsyncParams", "DecisionFunction", "run_asynchronous_tsmo"]
 
 
 def _encode_neighbor(neighbor: Neighbor) -> tuple:
@@ -107,6 +106,232 @@ class AsyncParams:
             raise SimulationError("master_share must be in [0, 1]")
 
 
+class DecisionFunction:
+    """Algorithm 2: decide whether the master selects now or waits on.
+
+    Called with the selection pool after every absorbed message or
+    expired wait.  Returns the names of the fired conditions when the
+    master should select, else ``()``; an empty pool ends the collection
+    only on ``c4``.  The current solution is fixed while the master
+    collects and the pool only grows, so ``c2`` checks just the entries
+    added since the last call.  A firing decision emits one
+    ``decision_fired`` event and resets the scan for the next pool.
+    """
+
+    __slots__ = ("_tracer", "_span", "_checked", "_c2")
+
+    def __init__(self, tracer=NULL_TRACER, span: str | None = None) -> None:
+        self._tracer = tracer
+        self._span = span
+        self._checked = 0
+        self._c2 = False
+
+    def __call__(
+        self,
+        pool: list[Neighbor],
+        current: ObjectiveVector,
+        iteration: int,
+        *,
+        idle: bool,
+        timed_out: bool,
+        exhausted: bool,
+    ) -> tuple[str, ...]:
+        if not self._c2:
+            fresh = pool[self._checked :]
+            self._c2 = any(n.objectives.dominates(current) for n in fresh)
+            self._checked = len(pool)
+        hits = (idle, self._c2, timed_out, exhausted)
+        fired = tuple(name for name, hit in zip(("c1", "c2", "c3", "c4"), hits) if hit)
+        if not (fired if pool else exhausted):
+            return ()
+        if self._tracer.enabled:
+            self._tracer.emit(
+                "decision_fired",
+                span=self._span,
+                iteration=iteration,
+                reason=",".join(fired),
+                pool=len(pool),
+            )
+        self._checked, self._c2 = 0, False
+        return fired
+
+
+class AsyncMaster:
+    """One asynchronous master and its workers on the simulated cluster.
+
+    :meth:`run` is the master's process.  Each iteration it hands every
+    idle worker a chunk of the current solution's neighborhood,
+    generates its own reduced share, collects streamed batches into
+    :attr:`pool` until the :class:`DecisionFunction` fires, and selects.
+    Batches that arrive after a selection join the next pool (the
+    carryover of Figure 1).  An ``exchange`` (a
+    :class:`~repro.parallel.collab_ts.EliteExchange`, as the hybrid's
+    islands have) receives the elites that arrive in the inbox and may
+    send one after each selection.  ``span`` tags the master's events.
+    """
+
+    def __init__(
+        self,
+        cluster,
+        engine: TSMOEngine,
+        rank: int,
+        workers,
+        aparams: AsyncParams,
+        *,
+        exchange=None,
+        obs=NULL_OBS,
+        span: str | None = None,
+    ) -> None:
+        self.cluster = cluster
+        self.engine = engine
+        self.rank = rank
+        self.workers = list(workers)
+        self.aparams = aparams
+        self.exchange = exchange
+        self.obs = obs
+        self.span = span
+        self.pool: list[Neighbor] = []
+        self.carryover = 0
+        self.pool_sizes: list[int] = []
+        self.finish_time: float | None = None
+
+    def run(self, checkpoint=None, snapshot=None):
+        """The master's process.
+
+        An engine restored from a snapshot continues where it stopped.
+        With a ``checkpoint`` policy the master drains to quiescence
+        whenever a snapshot is due, then commits ``snapshot()``.
+        """
+        cluster, engine, rank, span = self.cluster, self.engine, self.rank, self.span
+        env, cost = cluster.env, cluster.cost
+        inbox = cluster.inbox(rank)
+        profiler, tracer = self.obs.profiler, self.obs.tracer
+        decide = DecisionFunction(tracer, span)
+        pool = self.pool
+        idle = set(self.workers)
+        # The master takes a reduced share; workers split the rest.
+        size = engine.params.neighborhood_size
+        equal = size / (len(self.workers) + 1)
+        master_chunk = int(round(self.aparams.master_share * equal))
+        worker_chunks = split_chunks(size - master_chunk, len(self.workers))
+        chunk_of = dict(zip(self.workers, worker_chunks))
+        max_wait = (
+            self.aparams.max_wait
+            if self.aparams.max_wait is not None
+            else 1.25 * cost.eval_cost * max(worker_chunks)
+        )
+
+        def absorb(msg):
+            if isinstance(msg, SolutionMessage):
+                yield from self.exchange.receive(msg)
+                return
+            # Streamed receive: pre-posted buffers overlap with compute,
+            # only per-message handling hits the critical path.
+            t0 = env.now
+            yield cluster.receive_overhead(rank, len(msg.neighbors), streamed=True)
+            if profiler.enabled:
+                profiler.add("communicate", env.now - t0)
+            if tracer.enabled:
+                tracer.emit(
+                    "comm_recv",
+                    span=span,
+                    peer=msg.worker,
+                    kind="result",
+                    items=len(msg.neighbors),
+                    final=msg.final,
+                )
+            pool.extend(msg.neighbors)
+            if msg.final:
+                idle.add(msg.worker)
+
+        if engine.current is None:
+            yield cluster.compute(rank, cost.init_cost(engine.instance.n_customers))
+            engine.initialize()
+        while True:
+            if checkpoint is not None:
+                if checkpoint.due(engine.evaluator.count):
+                    # Drain to quiescence before capturing state: no
+                    # new work goes out, in-flight batches are absorbed
+                    # into the pool, every worker ends blocked on its
+                    # inbox with nothing in transit.
+                    while (
+                        len(idle) < len(self.workers)
+                        or len(inbox) > 0
+                        or cluster.has_pending_deliveries()
+                    ):
+                        msg = yield inbox.get()
+                        yield from absorb(msg)
+                    checkpoint.commit(
+                        engine.evaluator.count, snapshot(), kind="asynchronous"
+                    )
+                checkpoint.maybe_crash(engine.evaluator.count)
+            if engine.done:
+                break
+            iteration = engine.iteration + 1
+            # (Re)assign work to every idle worker; busy workers keep
+            # grinding on neighborhoods of previous currents.
+            for worker in sorted(idle):
+                chunk = chunk_of[worker]
+                if tracer.enabled:
+                    tracer.emit(
+                        "comm_send", span=span, peer=worker, kind="task", items=chunk
+                    )
+                task = TaskMessage(engine.current, chunk, iteration)
+                cluster.send(rank, worker, task, n_items=1)
+            idle.clear()
+            # The master's own share.
+            t0 = env.now
+            yield cluster.compute(rank, cost.eval_cost * master_chunk)
+            pool.extend(engine.generate_neighborhood(master_chunk))
+            if profiler.enabled:
+                profiler.add("evaluate", env.now - t0)
+
+            # Collection loop governed by the decision function.
+            deadline = env.now + max_wait
+            while True:
+                while (msg := inbox.get_nowait()) is not None:
+                    yield from absorb(msg)
+                timed_out = env.now >= deadline
+                if decide(
+                    pool,
+                    engine.current.objectives,
+                    iteration,
+                    idle=bool(idle),
+                    timed_out=timed_out,
+                    exhausted=engine.evaluator.exhausted,
+                ):
+                    break
+                # Give the workers more time: block until the next
+                # message or the waiting-too-long deadline.
+                timeout = None if timed_out else max(deadline - env.now, 0.0)
+                t0 = env.now
+                msg = yield inbox.get(timeout=timeout)
+                if profiler.enabled:
+                    profiler.add("wait", env.now - t0)
+                if msg is GET_TIMED_OUT:
+                    continue
+                yield from absorb(msg)
+            if not pool:
+                break
+            self.pool_sizes.append(len(pool))
+            # Neighbors created in earlier iterations that are only now
+            # considered — the paper's carryover effect (Figure 1).
+            self.carryover += sum(1 for n in pool if n.iteration <= engine.iteration)
+            version_before = engine.memories.archive.version
+            t0 = env.now
+            yield cluster.compute(rank, cost.selection_cost(len(pool)))
+            if profiler.enabled:
+                profiler.add("select", env.now - t0)
+            engine.select_and_update(pool)
+            pool.clear()
+            if self.exchange is not None:
+                self.exchange.after_selection(version_before)
+
+        self.finish_time = env.now
+        for worker in self.workers:
+            cluster.send(rank, worker, StopMessage(), n_items=1)
+
+
 def run_asynchronous_tsmo(
     instance: Instance,
     params: TSMOParams | None = None,
@@ -145,7 +370,6 @@ def run_asynchronous_tsmo(
     worker_rngs = factory.generators(n_processors - 1)
     cluster_seed = factory.seed_sequence()
     env, cluster, _ = simulation_context(n_processors, cost_model, cluster_seed, 0)
-    cost = cluster.cost
 
     evaluator = Evaluator(instance, params.max_evaluations)
     engine = TSMOEngine(
@@ -157,7 +381,7 @@ def run_asynchronous_tsmo(
         trace=trace,
         obs=obs,
     )
-    finish = {"time": None, "carryover": 0, "pool_sizes": []}
+    master = AsyncMaster(cluster, engine, 0, range(1, n_processors), aparams, obs=obs)
 
     resumed = (
         checkpoint.load_resume_state(kind="asynchronous")
@@ -175,169 +399,25 @@ def run_asynchronous_tsmo(
             set_generator_state(rng, state)
         cluster.restore_state(resumed["cluster"])
         env.now = resumed["env_now"]
-        finish["carryover"] = resumed["carryover"]
-        finish["pool_sizes"] = list(resumed["pool_sizes"])
+        # Snapshots are taken drained: every worker idle, nothing in
+        # flight, stragglers already absorbed into the pool.
+        master.pool.extend(_decode_neighbor(instance, n) for n in resumed["pool"])
+        master.carryover = resumed["carryover"]
+        master.pool_sizes = list(resumed["pool_sizes"])
         checkpoint.note_resumed(engine.evaluator.count)
 
-    def master():
-        inbox = cluster.inbox(0)
-        profiler = obs.profiler
-        tracer = obs.tracer
-        if resumed is None:
-            yield cluster.compute(0, cost.init_cost(instance.n_customers))
-            engine.initialize()
-        idle = set(range(1, n_processors))
-        pool: list[Neighbor] = []
-        if resumed is not None:
-            # Snapshots are taken drained: every worker idle, nothing
-            # in flight, stragglers already absorbed into the pool.
-            pool.extend(_decode_neighbor(instance, n) for n in resumed["pool"])
-        # The master takes a reduced share; workers split the rest.
-        equal = params.neighborhood_size / n_processors
-        master_chunk = int(round(aparams.master_share * equal))
-        worker_chunks = split_chunks(
-            params.neighborhood_size - master_chunk, n_processors - 1
-        )
-        chunks = [master_chunk] + worker_chunks
-        max_wait = (
-            aparams.max_wait
-            if aparams.max_wait is not None
-            else 1.25 * cost.eval_cost * max(worker_chunks)
-        )
+    def build_state():
+        return {
+            "engine": engine.snapshot(),
+            "workers": [get_generator_state(rng) for rng in worker_rngs],
+            "cluster": cluster.export_state(),
+            "env_now": env.now,
+            "pool": [_encode_neighbor(n) for n in master.pool],
+            "carryover": master.carryover,
+            "pool_sizes": list(master.pool_sizes),
+        }
 
-        def absorb(msg: ResultMessage):
-            # Streamed receive: pre-posted buffers overlap with compute,
-            # only per-message handling hits the critical path.
-            t0 = env.now
-            yield cluster.receive_overhead(0, len(msg.neighbors), streamed=True)
-            if profiler.enabled:
-                profiler.add("communicate", env.now - t0)
-            if tracer.enabled:
-                tracer.emit(
-                    "comm_recv",
-                    peer=msg.worker,
-                    kind="result",
-                    items=len(msg.neighbors),
-                    final=msg.final,
-                )
-            pool.extend(msg.neighbors)
-            if msg.final:
-                idle.add(msg.worker)
-
-        def build_state():
-            return {
-                "engine": engine.snapshot(),
-                "workers": [get_generator_state(rng) for rng in worker_rngs],
-                "cluster": cluster.export_state(),
-                "env_now": env.now,
-                "pool": [_encode_neighbor(n) for n in pool],
-                "carryover": finish["carryover"],
-                "pool_sizes": list(finish["pool_sizes"]),
-            }
-
-        while True:
-            if checkpoint is not None:
-                count = evaluator.count
-                if checkpoint.due(count):
-                    # Drain to quiescence before capturing state: no
-                    # new work goes out, in-flight batches are absorbed
-                    # into the pool, every worker ends blocked on its
-                    # inbox with nothing in transit.
-                    while (
-                        len(idle) < n_processors - 1
-                        or len(inbox) > 0
-                        or cluster.has_pending_deliveries()
-                    ):
-                        msg = yield inbox.get()
-                        yield from absorb(msg)
-                    checkpoint.commit(evaluator.count, build_state(), kind="asynchronous")
-                checkpoint.maybe_crash(evaluator.count)
-            if engine.done:
-                break
-            iteration = engine.iteration + 1
-            # (Re)assign work to every idle worker; busy workers keep
-            # grinding on neighborhoods of previous currents.
-            for rank in sorted(idle):
-                if tracer.enabled:
-                    tracer.emit(
-                        "comm_send", peer=rank, kind="task", items=chunks[rank]
-                    )
-                cluster.send(
-                    0,
-                    rank,
-                    TaskMessage(engine.current, chunks[rank], iteration),
-                    n_items=1,
-                )
-            idle.clear()
-            # The master's own share.
-            t0 = env.now
-            yield cluster.compute(0, cost.eval_cost * chunks[0])
-            misses_before = evaluator.stats_cache.misses
-            pool.extend(engine.generate_neighborhood(chunks[0]))
-            master_misses = evaluator.stats_cache.misses - misses_before
-            if cost.miss_scan_cost > 0.0 and master_misses > 0:
-                yield cluster.compute(0, cost.miss_scan_cost * master_misses)
-            if profiler.enabled:
-                profiler.add("evaluate", env.now - t0)
-
-            # Collection loop governed by the decision function.
-            deadline = env.now + max_wait
-            while True:
-                while (msg := inbox.get_nowait()) is not None:
-                    yield from absorb(msg)
-                current_obj = engine.current.objectives.as_array()
-                c1 = bool(idle)
-                c2 = any(
-                    dominates(n.objectives.as_array(), current_obj) for n in pool
-                )
-                c3 = env.now >= deadline
-                c4 = evaluator.exhausted
-                if (pool and (c1 or c2 or c3 or c4)) or (not pool and c4):
-                    if tracer.enabled:
-                        fired = [
-                            name
-                            for name, hit in (
-                                ("c1", c1), ("c2", c2), ("c3", c3), ("c4", c4)
-                            )
-                            if hit
-                        ]
-                        tracer.emit(
-                            "decision_fired",
-                            iteration=iteration,
-                            reason=",".join(fired),
-                            pool=len(pool),
-                        )
-                    break
-                # Give the workers more time: block until the next
-                # message or the waiting-too-long deadline.
-                timeout = None if c3 else max(deadline - env.now, 0.0)
-                t0 = env.now
-                msg = yield inbox.get(timeout=timeout)
-                if profiler.enabled:
-                    profiler.add("wait", env.now - t0)
-                if msg is GET_TIMED_OUT:
-                    continue
-                yield from absorb(msg)
-            if not pool:
-                break
-            finish["pool_sizes"].append(len(pool))
-            # Neighbors created in earlier iterations that are only now
-            # considered — the paper's carryover effect (Figure 1).
-            finish["carryover"] += sum(
-                1 for n in pool if n.iteration <= engine.iteration
-            )
-            t0 = env.now
-            yield cluster.compute(0, cost.selection_cost(len(pool)))
-            if profiler.enabled:
-                profiler.add("select", env.now - t0)
-            engine.select_and_update(pool)
-            pool.clear()
-
-        finish["time"] = env.now
-        for rank in range(1, n_processors):
-            cluster.send(0, rank, StopMessage(), n_items=1)
-
-    env.process(master(), name="master")
+    env.process(master.run(checkpoint, build_state), name="master")
     for rank in range(1, n_processors):
         env.process(
             worker_process(
@@ -359,22 +439,24 @@ def run_asynchronous_tsmo(
         m = obs.metrics
         m.gauge("comm.messages_sent", cluster.messages_sent)
         m.gauge("comm.items_sent", cluster.items_sent)
-        m.gauge("async.carryover_neighbors", finish["carryover"])
-        for size in finish["pool_sizes"]:
+        m.gauge("async.carryover_neighbors", master.carryover)
+        for size in master.pool_sizes:
             m.observe(
                 "async.pool_size", size, buckets=(0, 5, 10, 25, 50, 100, 250, 500)
             )
     result = engine.result(
         "asynchronous",
         wall_time=wall,
-        simulated_time=finish["time"] if finish["time"] is not None else env.now,
+        simulated_time=(
+            master.finish_time if master.finish_time is not None else env.now
+        ),
         processors=n_processors,
     )
     result.extra["messages_sent"] = cluster.messages_sent
     result.extra["items_sent"] = cluster.items_sent
-    pool_sizes = finish["pool_sizes"]
+    pool_sizes = master.pool_sizes
     result.extra["mean_pool_size"] = (
         float(np.mean(pool_sizes)) if pool_sizes else 0.0
     )
-    result.extra["carryover_neighbors"] = finish["carryover"]
+    result.extra["carryover_neighbors"] = master.carryover
     return result

@@ -31,7 +31,7 @@ from repro.tabu.search import TSMOEngine, TSMOResult
 from repro.tabu.trace import TrajectoryRecorder
 from repro.vrptw.instance import Instance
 
-__all__ = ["run_sequential_simulated", "simulation_context"]
+__all__ = ["run_sequential_simulated", "sequential_step", "simulation_context"]
 
 
 def simulation_context(
@@ -47,6 +47,24 @@ def simulation_context(
     env = Environment()
     cluster = SimCluster(env, n_processors, cost_model, seed=cluster_seed)
     return env, cluster, search_streams
+
+
+def sequential_step(cluster, rank: int, engine: TSMOEngine, profiler):
+    """One TSMO iteration on one simulated processor (``yield from`` it).
+
+    Generates the full neighborhood, charges ``eval_cost`` per neighbor
+    and the selection cost of the whole pool, then selects.
+    """
+    env, cost = cluster.env, cluster.cost
+    neighbors = engine.generate_neighborhood()
+    t0 = env.now
+    yield cluster.compute(rank, cost.eval_cost * len(neighbors))
+    t1 = env.now
+    yield cluster.compute(rank, cost.selection_cost(len(neighbors)))
+    if profiler.enabled:
+        profiler.add("evaluate", t1 - t0)
+        profiler.add("select", env.now - t1)
+    engine.select_and_update(neighbors)
 
 
 def run_sequential_simulated(
@@ -80,7 +98,6 @@ def run_sequential_simulated(
     # profiles are bit-identical across runs and resume legs).
     obs.set_unit("simulated")
     env, cluster, (search_rng,) = simulation_context(1, cost_model, seed)
-    cost = cluster.cost
     engine = TSMOEngine(
         instance, params, search_rng, registry=registry, trace=trace, obs=obs
     )
@@ -104,9 +121,8 @@ def run_sequential_simulated(
         }
 
     def driver():
-        cache = engine.evaluator.stats_cache
         if resumed is None:
-            yield cluster.compute(0, cost.init_cost(instance.n_customers))
+            yield cluster.compute(0, cluster.cost.init_cost(instance.n_customers))
             engine.initialize()
         while True:
             if checkpoint is not None:
@@ -115,20 +131,7 @@ def run_sequential_simulated(
                 )
             if engine.done:
                 break
-            misses_before = cache.misses
-            neighbors = engine.generate_neighborhood()
-            nominal = cost.eval_cost * len(neighbors)
-            if cost.miss_scan_cost > 0.0:
-                nominal += cost.miss_scan_cost * (cache.misses - misses_before)
-            t0 = env.now
-            yield cluster.compute(0, nominal)
-            t1 = env.now
-            yield cluster.compute(0, cost.selection_cost(len(neighbors)))
-            profiler = obs.profiler
-            if profiler.enabled:
-                profiler.add("evaluate", t1 - t0)
-                profiler.add("select", env.now - t1)
-            engine.select_and_update(neighbors)
+            yield from sequential_step(cluster, 0, engine, obs.profiler)
 
     start = time.perf_counter()
     env.process(driver(), name="sequential")

@@ -52,7 +52,7 @@ from repro.errors import SimulationError
 from repro.core.objectives import ObjectiveVector
 from repro.mo.archive import ParetoArchive
 from repro.obs import NULL_OBS
-from repro.parallel.base import simulation_context
+from repro.parallel.base import sequential_step, simulation_context
 from repro.parallel.costmodel import CostModel
 from repro.parallel.des import Mailbox
 from repro.parallel.messages import SolutionMessage
@@ -62,7 +62,7 @@ from repro.tabu.search import TSMOEngine, TSMOResult, decode_routes, encode_solu
 from repro.tabu.trace import TrajectoryRecorder
 from repro.vrptw.instance import Instance
 
-__all__ = ["CollabParams", "run_collaborative_tsmo"]
+__all__ = ["CollabParams", "EliteExchange", "run_collaborative_tsmo"]
 
 
 def _encode_message(msg: SolutionMessage) -> tuple:
@@ -164,6 +164,81 @@ class _CollabBarrier:
                     self.boxes[r].put(True)
 
 
+class EliteExchange:
+    """One searcher's side of the §III.E elite exchange.
+
+    Until the searcher's archive has gone ``patience`` iterations
+    without accepting a solution (the *initial phase*), nothing is
+    sent.  Afterwards every archive-improving current goes to the head
+    of the searcher's communication list, which then rotates.  Received
+    elites are offered to ``M_nondom``, where restarts can pick them up.
+    ``patience=None`` uses the engine's ``restart_after``.
+
+    The collaborative searchers and the hybrid's island masters both
+    use it; the phase flag, the list and the counters are public so the
+    collaborative checkpoint can capture and restore them.
+    """
+
+    def __init__(
+        self,
+        cluster,
+        engine: TSMOEngine,
+        rank: int,
+        comm: list[int],
+        patience: int | None = None,
+        *,
+        obs=NULL_OBS,
+        span: str | None = None,
+    ) -> None:
+        self.cluster = cluster
+        self.engine = engine
+        self.rank = rank
+        self.comm = comm
+        self.patience = engine.params.restart_after if patience is None else patience
+        self.obs = obs
+        self.span = span
+        self.initial_phase = True
+        self.last_improvement = 0
+        self.sends = 0
+        self.receives = 0
+
+    def receive(self, msg: SolutionMessage):
+        """Handle one foreign elite (``yield from`` it)."""
+        env = self.cluster.env
+        t0 = env.now
+        yield self.cluster.receive_overhead(self.rank, 1, streamed=False)
+        if self.obs.profiler.enabled:
+            self.obs.profiler.add("communicate", env.now - t0)
+        if self.obs.tracer.enabled:
+            self.obs.tracer.emit(
+                "comm_recv", span=self.span, peer=msg.sender, kind="elite"
+            )
+        self.receives += 1
+        self.engine.memories.nondom.try_add(msg.solution, msg.objectives)
+
+    def after_selection(self, version_before: int) -> None:
+        """Advance the phase; send the current solution if it improved
+        the archive (``version_before`` is the archive version before
+        the selection)."""
+        engine = self.engine
+        improved = engine.memories.archive.version != version_before
+        if improved:
+            self.last_improvement = engine.iteration
+        if self.initial_phase:
+            if engine.iteration - self.last_improvement >= self.patience:
+                self.initial_phase = False
+        elif improved and self.comm:
+            dst = self.comm.pop(0)
+            self.comm.append(dst)
+            tracer = self.obs.tracer
+            if tracer.enabled:
+                tracer.emit("comm_send", span=self.span, peer=dst, kind="elite")
+            current = engine.current
+            elite = SolutionMessage(self.rank, current, current.objectives)
+            self.cluster.send(self.rank, dst, elite, n_items=1)
+            self.sends += 1
+
+
 @dataclass(frozen=True, slots=True)
 class CollabParams:
     """Knobs specific to the collaborative variant."""
@@ -248,18 +323,21 @@ def run_collaborative_tsmo(
         )
 
     # Per-searcher random communication list over the other searchers.
-    comm_lists: list[list[int]] = []
+    exchanges: list[EliteExchange] = []
     for rank in range(n_processors):
         others = [r for r in range(n_processors) if r != rank]
-        comm_lists.append(list(commlist_rng.permutation(others)))
-
+        exchanges.append(
+            EliteExchange(
+                cluster,
+                engines[rank],
+                rank,
+                list(commlist_rng.permutation(others)),
+                cparams.initial_phase_patience,
+                obs=obs,
+                span=f"searcher-{rank}",
+            )
+        )
     finish_times = [0.0] * n_processors
-    sends = [0] * n_processors
-    receives = [0] * n_processors
-    # Phase state lives in per-rank lists (not searcher locals) so the
-    # checkpoint barrier can capture and restore it.
-    initial_phase = [True] * n_processors
-    last_improvement = [0] * n_processors
 
     resumed = (
         checkpoint.load_resume_state(kind="collaborative")
@@ -271,12 +349,12 @@ def run_collaborative_tsmo(
         return {
             "engines": [engine.snapshot() for engine in engines],
             "counts": [engine.evaluator.count for engine in engines],
-            "comm_lists": [list(c) for c in comm_lists],
-            "initial_phase": list(initial_phase),
-            "last_improvement": list(last_improvement),
+            "comm_lists": [list(x.comm) for x in exchanges],
+            "initial_phase": [x.initial_phase for x in exchanges],
+            "last_improvement": [x.last_improvement for x in exchanges],
             "finish_times": list(finish_times),
-            "sends": list(sends),
-            "receives": list(receives),
+            "sends": [x.sends for x in exchanges],
+            "receives": [x.receives for x in exchanges],
             "finished": sorted(barrier.finished_ranks),
             "live_order": live_order,
             "barrier_k": barrier.k,
@@ -312,13 +390,13 @@ def run_collaborative_tsmo(
             )
         for engine, state in zip(engines, resumed["engines"]):
             engine.restore(state)
-        for comm, stored in zip(comm_lists, resumed["comm_lists"]):
-            comm[:] = list(stored)
-        initial_phase[:] = resumed["initial_phase"]
-        last_improvement[:] = resumed["last_improvement"]
+        for rank, x in enumerate(exchanges):
+            x.comm[:] = list(resumed["comm_lists"][rank])
+            x.initial_phase = resumed["initial_phase"][rank]
+            x.last_improvement = resumed["last_improvement"][rank]
+            x.sends = resumed["sends"][rank]
+            x.receives = resumed["receives"][rank]
         finish_times[:] = resumed["finish_times"]
-        sends[:] = resumed["sends"]
-        receives[:] = resumed["receives"]
         cluster.restore_state(resumed["cluster"])
         env.now = resumed["env_now"]
         for rank, buffered in enumerate(resumed["inboxes"]):
@@ -336,19 +414,11 @@ def run_collaborative_tsmo(
 
     def searcher(rank: int):
         engine = engines[rank]
+        exchange = exchanges[rank]
         inbox = cluster.inbox(rank)
-        comm = comm_lists[rank]
-        profiler = obs.profiler
-        tracer = obs.tracer
-        span = f"searcher-{rank}"
         if resumed is None:
             yield cluster.compute(rank, cost.init_cost(instance.n_customers))
             engine.initialize()
-        patience = (
-            cparams.initial_phase_patience
-            if cparams.initial_phase_patience is not None
-            else engine.params.restart_after
-        )
         # A resumed searcher restarts exactly where the barrier paused
         # it: past the arrival check (the snapshot's round is done) but
         # before the crash/done checks, like the original post-release.
@@ -363,52 +433,10 @@ def run_collaborative_tsmo(
                 break
             # Drain foreign elites into the medium-term memory.
             while (msg := inbox.get_nowait()) is not None:
-                t0 = env.now
-                yield cluster.receive_overhead(rank, 1, streamed=False)
-                if profiler.enabled:
-                    profiler.add("communicate", env.now - t0)
-                if tracer.enabled:
-                    tracer.emit(
-                        "comm_recv", span=span, peer=msg.sender, kind="elite"
-                    )
-                receives[rank] += 1
-                engine.memories.nondom.try_add(msg.solution, msg.objectives)
+                yield from exchange.receive(msg)
             version_before = engine.memories.archive.version
-            misses_before = shared_cache.misses
-            neighbors = engine.generate_neighborhood()
-            nominal = cost.eval_cost * len(neighbors)
-            if cost.miss_scan_cost > 0.0:
-                nominal += cost.miss_scan_cost * (shared_cache.misses - misses_before)
-            t0 = env.now
-            yield cluster.compute(rank, nominal)
-            t1 = env.now
-            yield cluster.compute(rank, cost.selection_cost(len(neighbors)))
-            if profiler.enabled:
-                profiler.add("evaluate", t1 - t0)
-                profiler.add("select", env.now - t1)
-            engine.select_and_update(neighbors)
-            improved = engine.memories.archive.version != version_before
-            if improved:
-                last_improvement[rank] = engine.iteration
-            if initial_phase[rank]:
-                if engine.iteration - last_improvement[rank] >= patience:
-                    initial_phase[rank] = False
-            elif improved and comm:
-                dst = comm.pop(0)
-                comm.append(dst)
-                if tracer.enabled:
-                    tracer.emit("comm_send", span=span, peer=dst, kind="elite")
-                cluster.send(
-                    rank,
-                    dst,
-                    SolutionMessage(
-                        sender=rank,
-                        solution=engine.current,
-                        objectives=engine.current.objectives,
-                    ),
-                    n_items=1,
-                )
-                sends[rank] += 1
+            yield from sequential_step(cluster, rank, engine, obs.profiler)
+            exchange.after_selection(version_before)
         # The finish time must be on record BEFORE the barrier learns
         # this searcher is done — finished() may complete a pending
         # round and snapshot finish_times right away.
@@ -446,7 +474,7 @@ def run_collaborative_tsmo(
         m.gauge("cache.evictions", shared_cache.evictions)
         m.gauge("cache.size", len(shared_cache))
         m.gauge("comm.messages_sent", cluster.messages_sent)
-        m.gauge("collab.exchanges", sum(sends))
+        m.gauge("collab.exchanges", sum(x.sends for x in exchanges))
         metrics = m.snapshot()
         profile = obs.profiler.summary()
     result = TSMOResult(
@@ -466,14 +494,14 @@ def run_collaborative_tsmo(
         profile=profile,
     )
     result.extra["messages_sent"] = cluster.messages_sent
-    result.extra["exchanges"] = sum(sends)
+    result.extra["exchanges"] = sum(x.sends for x in exchanges)
     # Send/receive conservation: every sent elite is either drained by
     # its receiver (a receive) or still sits in an inbox when the
     # receiver's budget ran out first (undelivered).  Both sides are
     # exported so the invariant is checkable:
     #     sum(sends) == sum(receives) + undelivered_solutions
-    result.extra["per_searcher_sends"] = list(sends)
-    result.extra["per_searcher_receives"] = list(receives)
+    result.extra["per_searcher_sends"] = [x.sends for x in exchanges]
+    result.extra["per_searcher_receives"] = [x.receives for x in exchanges]
     result.extra["undelivered_solutions"] = sum(
         len(cluster.inbox(rank)) for rank in range(n_processors)
     )

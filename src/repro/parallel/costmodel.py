@@ -7,13 +7,8 @@ unloaded reference processor.  Everything else is scaled to that.
 The model's terms and why they exist:
 
 * ``eval_cost`` — per-neighbor generation + evaluation; the work the
-  paper parallelizes.
-* ``miss_scan_cost`` — optional surcharge per route-stats cache miss,
-  charged by the drivers from the
-  :class:`~repro.core.stats_cache.RouteStatsCache` counters around each
-  sampling burst.  Zero by default (the calibrated tables fold scan
-  cost into ``eval_cost``); positive values let experiments price the
-  delta-evaluation engine's memoization into simulated time.
+  paper parallelizes.  Route scans and route-stats cache hits are
+  folded into it.
 * ``selection_cost(n)`` — the master-side cost of selecting from a
   pool of ``n`` evaluated neighbors and updating the memories (with a
   mild quadratic term for the pairwise non-dominated filtering).
@@ -74,13 +69,6 @@ class CostModel:
 
     #: nominal cost of generating + evaluating one neighbor.
     eval_cost: float = 1.0
-    #: additional cost per route-stats cache *miss* (a full schedule
-    #: scan of one route).  The default of 0 keeps ``eval_cost`` as the
-    #: calibrated all-in per-neighbor figure; set it positive to make
-    #: simulated timings distinguish memoized evaluations from real
-    #: scans — simulated speedups then stay honest about what the
-    #: :class:`~repro.core.stats_cache.RouteStatsCache` absorbs.
-    miss_scan_cost: float = 0.0
     #: linear selection/memory-update cost per pooled neighbor.
     proc_linear: float = 0.25
     #: quadratic pairwise-dominance cost coefficient.
@@ -123,7 +111,6 @@ class CostModel:
         if self.eval_cost <= 0:
             raise SimulationError("eval_cost must be positive")
         for label in (
-            "miss_scan_cost",
             "proc_linear",
             "proc_quadratic",
             "iter_cost",
@@ -232,9 +219,9 @@ class CostModel:
         * ``stall_rate`` and ``proc_quadratic`` scale with ``200 / S``
           (events per unit work, and the quadratic coefficient whose
           full-pool contribution per neighbor is ``quad * S``);
-        * per-item costs (``eval_cost``, ``miss_scan_cost``,
-          ``proc_linear``, ``per_item``, ``recv_per_item_*``) are
-          already per neighbor (or per route scan) and stay put.
+        * per-item costs (``eval_cost``, ``proc_linear``,
+          ``per_item``, ``recv_per_item_*``) are already per neighbor
+          and stay put.
         """
         if neighborhood_size < 1:
             raise SimulationError("neighborhood_size must be >= 1")

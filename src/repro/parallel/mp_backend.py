@@ -56,9 +56,10 @@ from repro.core.operators.base import Move, RouteEdits
 from repro.core.solution import Solution
 from repro.core.stats_cache import CacheStats
 from repro.errors import SearchError
-from repro.mo.dominance import dominates
 from repro.obs import NULL_OBS
+from repro.parallel.async_ts import DecisionFunction
 from repro.parallel.pool import FaultPlan, PoolParams, WorkerPool
+from repro.parallel.sync_ts import split_chunks
 from repro.rng import RngFactory, as_generator
 from repro.tabu.neighborhood import Neighbor
 from repro.tabu.params import TSMOParams
@@ -203,8 +204,7 @@ def run_multiprocessing_tsmo(
     engine = TSMOEngine(instance, params, master_rng, evaluator=evaluator, obs=obs)
 
     n_tasks = n_workers * chunks_per_worker
-    base, extra = divmod(params.neighborhood_size, n_tasks)
-    chunk_sizes = [base + (1 if i < extra else 0) for i in range(n_tasks)]
+    chunk_sizes = split_chunks(params.neighborhood_size, n_tasks)
     lockstep = (
         n_tasks == 1
         and type(engine.rng.bit_generator).__name__ == "PCG64"
@@ -322,16 +322,16 @@ def run_multiprocessing_async_tsmo(
     evaluator = Evaluator(instance, params.max_evaluations)
     engine = TSMOEngine(instance, params, master_rng, evaluator=evaluator, obs=obs)
 
-    base, extra = divmod(params.neighborhood_size, n_workers)
-    chunk_sizes = [base + (1 if i < extra else 0) for i in range(n_workers)]
-    chunk_sizes = [size for size in chunk_sizes if size > 0]
+    chunk_sizes = [
+        size for size in split_chunks(params.neighborhood_size, n_workers) if size > 0
+    ]
 
     start = time.perf_counter()
     worker_hits = worker_misses = 0
     carryover = 0
     pool_sizes: list[int] = []
     profiler = obs.profiler
-    tracer = obs.tracer
+    decide = DecisionFunction(obs.tracer)
     with WorkerPool(
         instance,
         n_workers,
@@ -384,26 +384,16 @@ def run_multiprocessing_async_tsmo(
                             worker_hits += event.cache_delta[0]
                             worker_misses += event.cache_delta[1]
 
-            current_obj = engine.current.objectives.as_array()
-            c1 = task_finished
-            c2 = any(
-                dominates(n.objectives.as_array(), current_obj) for n in collected
-            )
-            c3 = time.monotonic() - last_select >= aparams.max_wait
-            c4 = evaluator.exhausted
-            if collected and (c1 or c2 or c3 or c4):
-                if tracer.enabled:
-                    fired = [
-                        name
-                        for name, hit in (("c1", c1), ("c2", c2), ("c3", c3), ("c4", c4))
-                        if hit
-                    ]
-                    tracer.emit(
-                        "decision_fired",
-                        iteration=engine.iteration + 1,
-                        reason=",".join(fired),
-                        pool=len(collected),
-                    )
+            # The loop ends once the budget is spent, and only received
+            # neighbors spend it, so c4 never fires on an empty pool.
+            if decide(
+                collected,
+                engine.current.objectives,
+                engine.iteration + 1,
+                idle=task_finished,
+                timed_out=time.monotonic() - last_select >= aparams.max_wait,
+                exhausted=evaluator.exhausted,
+            ):
                 pool_sizes.append(len(collected))
                 carryover += sum(
                     1 for n in collected if n.iteration <= engine.iteration

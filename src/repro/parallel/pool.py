@@ -298,7 +298,11 @@ def execute_task(
             ),
         )
 
-    for obj, move, _ in result.entries:
+    # The batch holding the last entry is the final one, so a task
+    # whose size is a multiple of ``batch_size`` ends without an extra
+    # empty batch; a task with no entries still sends one final batch.
+    last = len(result.entries)
+    for i, (obj, move, _) in enumerate(result.entries, 1):
         objective = (obj.distance, obj.vehicles, obj.tardiness)
         if codec:
             replacements, added = move.route_edits(solution)
@@ -306,7 +310,7 @@ def execute_task(
         else:
             child = move.apply(solution)  # routes must ship to the master
             out.append((child.routes, objective, move.attribute))
-        if len(out) >= task.batch_size:
+        if len(out) >= task.batch_size and i < last:
             yield flush(final=False)
             out = []
     yield flush(final=True)

@@ -69,7 +69,6 @@ def worker_process(
     compute/idle time folds into the shared simulated-unit profiler.
     """
     cost = cluster.cost
-    cache = evaluator.stats_cache
     inbox = cluster.inbox(rank)
     env = cluster.env
     profiler = obs.profiler
@@ -93,17 +92,9 @@ def worker_process(
             # neighbors, so the evaluation counter reflects *completed*
             # work at the simulated instant it completes.
             yield cluster.compute(rank, cost.eval_cost * step)
-            misses_before = cache.misses
             batch = sample_neighborhood(
                 msg.solution, step, registry, rng, evaluator, iteration=msg.iteration
             )
-            # Charge cache-miss route scans after the fact (only when
-            # the model prices them; a zero-cost yield would reorder
-            # simultaneous events and change calibrated trajectories).
-            if cost.miss_scan_cost > 0.0 and cache.misses > misses_before:
-                yield cluster.compute(
-                    rank, cost.miss_scan_cost * (cache.misses - misses_before)
-                )
             remaining -= step
             if batch_size is None:
                 produced.extend(batch)
@@ -260,11 +251,7 @@ def run_synchronous_tsmo(
                 )
             t0 = env.now
             yield cluster.compute(0, cost.eval_cost * chunks[0])
-            misses_before = evaluator.stats_cache.misses
             neighbors = engine.generate_neighborhood(chunks[0])
-            master_misses = evaluator.stats_cache.misses - misses_before
-            if cost.miss_scan_cost > 0.0 and master_misses > 0:
-                yield cluster.compute(0, cost.miss_scan_cost * master_misses)
             if profiler.enabled:
                 profiler.add("evaluate", env.now - t0)
             # Wait for every worker — the synchronous barrier — then

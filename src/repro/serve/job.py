@@ -40,6 +40,7 @@ from repro.errors import CheckpointError, JobCancelled, ServeError, WrongInstanc
 from repro.obs import NULL_OBS
 from repro.parallel.mp_backend import _wire_neighbor
 from repro.parallel.shm import SharedInstanceRef, instance_fingerprint
+from repro.parallel.sync_ts import split_chunks
 from repro.parallel.wire import instance_from_wire, instance_to_wire
 from repro.rng import RngFactory, as_generator, get_generator_state, set_generator_state
 from repro.tabu.params import TSMOParams
@@ -290,9 +291,11 @@ class Job:
         if self._lockstep:
             self._chunk_sizes = [spec.params.neighborhood_size]
         else:
-            base, extra = divmod(spec.params.neighborhood_size, spec.n_tasks)
-            sizes = [base + (1 if i < extra else 0) for i in range(spec.n_tasks)]
-            self._chunk_sizes = [size for size in sizes if size > 0]
+            self._chunk_sizes = [
+                size
+                for size in split_chunks(spec.params.neighborhood_size, spec.n_tasks)
+                if size > 0
+            ]
             self._seed_rng = RngFactory(spec.seed).generator()
         try:
             resumed = (

@@ -1,14 +1,9 @@
-"""Tests for the extensions: multiprocessing backend, adaptive memory."""
+"""Tests for the extensions: the multiprocessing backend."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SearchError
-from repro.parallel.adaptive_memory import (
-    AdaptiveMemory,
-    AdaptiveMemoryParams,
-    run_adaptive_memory_tsmo,
-)
 from repro.parallel.mp_backend import (
     MpAsyncParams,
     RemoteMove,
@@ -17,7 +12,6 @@ from repro.parallel.mp_backend import (
     run_multiprocessing_tsmo,
 )
 from repro.parallel.pool import FaultPlan, PoolParams
-from repro.core.construction import i1_construct
 from repro.core.solution import Solution
 from repro.mo.dominance import dominates
 from repro.tabu.params import TSMOParams
@@ -209,59 +203,3 @@ class TestMultiprocessingAsync:
     def test_invalid_workers(self, instance):
         with pytest.raises(SearchError):
             run_multiprocessing_async_tsmo(instance, n_workers=0)
-
-
-class TestAdaptiveMemoryPool:
-    def test_harvest_and_capacity(self, instance):
-        memory = AdaptiveMemory(capacity=5)
-        sol = i1_construct(instance, rng=1)
-        for k in range(4):
-            memory.harvest(sol, score=float(k))
-        assert len(memory.routes) == 5
-        # Best-scored routes survive the truncation.
-        assert all(r.score <= 1.0 for r in memory.routes)
-
-    def test_construct_is_valid_solution(self, instance):
-        memory = AdaptiveMemory(capacity=50)
-        rng_pool = np.random.default_rng(0)
-        for seed in range(3):
-            sol = i1_construct(instance, rng=np.random.default_rng(seed))
-            memory.harvest(sol, score=sol.objectives.distance)
-        built = memory.construct(instance, rng_pool)
-        assert isinstance(built, Solution)
-        Solution._validate_routes(instance, built.routes)
-        assert all(load <= instance.capacity for load in built.route_loads())
-
-    def test_empty_pool_rejected(self, instance):
-        with pytest.raises(SearchError, match="empty"):
-            AdaptiveMemory(capacity=5).construct(instance, np.random.default_rng(0))
-
-    def test_params_validation(self):
-        with pytest.raises(SearchError):
-            AdaptiveMemoryParams(pool_capacity=0)
-
-
-class TestAdaptiveMemoryDriver:
-    def test_run(self, instance):
-        params = TSMOParams(
-            max_evaluations=900, neighborhood_size=30, restart_after=6
-        )
-        result = run_adaptive_memory_tsmo(
-            instance,
-            params,
-            AdaptiveMemoryParams(burst_evaluations=250, burst_neighborhood=25),
-            seed=2,
-        )
-        assert result.algorithm == "adaptive_memory"
-        assert result.evaluations >= params.max_evaluations
-        assert result.best_feasible() is not None
-
-    def test_budget_cap(self, instance):
-        params = TSMOParams(max_evaluations=600, neighborhood_size=30)
-        result = run_adaptive_memory_tsmo(
-            instance,
-            params,
-            AdaptiveMemoryParams(burst_evaluations=200, burst_neighborhood=20),
-            seed=3,
-        )
-        assert result.evaluations <= params.max_evaluations + 250

@@ -41,6 +41,7 @@ from repro.obs.validate import main as validate_main, validate_event, validate_f
 from repro.parallel.async_ts import AsyncParams, run_asynchronous_tsmo
 from repro.parallel.base import run_sequential_simulated
 from repro.parallel.collab_ts import CollabParams, run_collaborative_tsmo
+from repro.parallel.hybrid_ts import HybridParams, run_hybrid_tsmo
 from repro.parallel.sync_ts import run_synchronous_tsmo
 from repro.persistence import CheckpointPolicy
 from repro.tabu.search import run_sequential_tsmo
@@ -52,6 +53,7 @@ DRIVERS = [
     "synchronous",
     "asynchronous",
     "collaborative",
+    "hybrid",
 ]
 
 
@@ -86,6 +88,15 @@ def run_driver(driver, instance, params, seed, *, checkpoint=None, obs=NULL_OBS)
             seed,
             collab_params=CollabParams(initial_phase_patience=3),
             checkpoint=checkpoint,
+            obs=obs,
+        )
+    if driver == "hybrid":
+        # No checkpoint support: only the per-driver tests run it.
+        return run_hybrid_tsmo(
+            instance,
+            params,
+            HybridParams(n_islands=2, procs_per_island=3, initial_phase_patience=3),
+            seed,
             obs=obs,
         )
     raise AssertionError(driver)

@@ -117,6 +117,43 @@ class TestExecuteTaskDeterminism:
         streamed = run_on_master(instance, routes, 12, seed=77, batch_size=3)
         assert whole == streamed
 
+    @pytest.mark.parametrize("batch_size", [12, 6, 5])
+    def test_one_final_batch_ends_each_task(self, instance, routes, batch_size):
+        """A task sends ceil(count / batch_size) batches; the one holding
+        the last neighbor is final and carries the lockstep RNG state
+        and the cache delta, even when count is a multiple of batch_size."""
+        master_rng = np.random.default_rng(5)
+        task = PoolTask(
+            task_id=0,
+            attempt=0,
+            routes=routes,
+            count=12,
+            batch_size=batch_size,
+            iteration=1,
+            rng_state=master_rng.bit_generator.state,
+        )
+        batches = list(
+            execute_task(instance, Evaluator(instance), default_registry(), task, -1)
+        )
+        assert len(batches) == -(-12 // batch_size)
+        assert [b.final for b in batches] == [False] * (len(batches) - 1) + [True]
+        assert all(b.neighbors for b in batches)
+        assert sum(len(b.neighbors) for b in batches) == 12
+        final = batches[-1]
+        assert final.rng_state is not None and final.cache_delta is not None
+        assert all(b.rng_state is None and b.cache_delta is None for b in batches[:-1])
+
+    def test_empty_task_sends_one_final_batch(self, instance, routes):
+        task = PoolTask(
+            task_id=0, attempt=0, routes=routes, count=0, batch_size=4, iteration=1, seed=3
+        )
+        batches = list(
+            execute_task(instance, Evaluator(instance), default_registry(), task, -1)
+        )
+        assert len(batches) == 1
+        assert batches[0].final and batches[0].neighbors == ()
+        assert batches[0].cache_delta == (0, 0)
+
 
 class TestWorkerPoolHealthy:
     def test_submit_gather_matches_master(self, instance, routes):
