@@ -117,6 +117,8 @@ class TestHybrid:
         assert len(per) == 2
         for count in per:
             assert count >= params.max_evaluations
+        # The islands' route-stats caches are summed into one record.
+        assert result.cache_stats.requests > 0
 
     def test_deterministic(self, instance, params):
         cost = CostModel().for_neighborhood(params.neighborhood_size)
